@@ -212,51 +212,48 @@ void run(sweep::ExperimentContext& ctx) {
               "accept", attack_job ? protocol.best_attack_accept(inputs)
                                    : protocol.completeness(x));
         },
-        // All jobs of one configuration shard together, so the k-fold
-        // recombination below stays computable in the shard owning it.
-        sweep::SweepPolicy::group_by("config"));
+        // All jobs of one configuration form one unit; the process owning
+        // it recombines them. Completeness of the k-fold protocol is the
+        // product of its chunk acceptances; the attack job carries
+        // soundness directly.
+        sweep::SweepPolicy::group_by(
+            "config", "soundness_paper_params",
+            [&configs](const std::vector<sweep::ParamPoint>& group,
+                       const std::vector<sweep::JobResult>& group_results) {
+              const auto& cfg = configs[static_cast<std::size_t>(
+                  group.front().get_int("config"))];
+              double completeness = 1.0;
+              double attack = 0.0;
+              for (std::size_t i = 0; i < group.size(); ++i) {
+                const double accept =
+                    group_results[i].metrics.get_double("accept");
+                if (group[i].get_string("job") == "attack") {
+                  attack = accept;
+                } else {
+                  completeness *= accept;
+                }
+              }
+              return sweep::DerivedPoint{
+                  sweep::ParamPoint()
+                      .set("topology", cfg.topology)
+                      .set("r", cfg.r)
+                      .set("t", cfg.t),
+                  sweep::Metrics()
+                      .set("completeness", completeness)
+                      .set("attack_accept", attack)
+                      .set("sound", attack <= 1.0 / 3.0)};
+            }));
 
-    // Recombine: completeness of the k-fold protocol is the product of
-    // its chunk acceptances; the attack job carries soundness directly.
-    // Under --shard only the shard owning a configuration's group has its
-    // chunk results; it records the derived point, the others declare it.
     Table table({"topology", "r", "t", "completeness", "attack accept",
                  "<= 1/3?"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
+      const auto& derived = results[points.size() + c];
+      if (derived.skipped) continue;  // owned by another process
       const auto& cfg = configs[c];
-      double completeness = 1.0;
-      double attack = 0.0;
-      bool local = true;
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        if (points[i].get_int("config") != static_cast<long long>(c)) {
-          continue;
-        }
-        if (results[i].skipped) {
-          local = false;
-          break;
-        }
-        if (points[i].get_string("job") == "attack") {
-          attack = results[i].metrics.get_double("accept");
-        } else {
-          completeness *= results[i].metrics.get_double("accept");
-        }
-      }
-      if (!local) {
-        ctx.skip_record("soundness_paper_params");
-        continue;
-      }
-      ctx.record_owned("soundness_paper_params",
-                       sweep::ParamPoint()
-                           .set("topology", cfg.topology)
-                           .set("r", cfg.r)
-                           .set("t", cfg.t),
-                       sweep::Metrics()
-                           .set("completeness", completeness)
-                           .set("attack_accept", attack)
-                           .set("sound", attack <= 1.0 / 3.0));
+      const double attack = derived.metrics.get_double("attack_accept");
       table.add_row({cfg.topology, Table::fmt(cfg.r), Table::fmt(cfg.t),
-                     Table::fmt(completeness), Table::fmt(attack),
-                     attack <= 1.0 / 3.0 ? "yes" : "NO"});
+                     Table::fmt(derived.metrics.get_double("completeness")),
+                     Table::fmt(attack), attack <= 1.0 / 3.0 ? "yes" : "NO"});
     }
     table.print(out);
   }

@@ -139,59 +139,59 @@ void run(sweep::ExperimentContext& ctx) {
               .set("chunk_half_width_95", est.half_width_95)
               .set("samples", chunk_samples);
         },
-        // All chunks of one violated distance shard together, so the CI
-        // recombination below stays computable in the shard owning them.
-        sweep::SweepPolicy::group_by("violation_distance"));
+        // All chunks of one violated distance form one unit; the process
+        // owning it combines them into a mean and a 95% CI.
+        sweep::SweepPolicy::group_by(
+            "violation_distance", "mc_soundness_combined",
+            [chunks, chunk_samples](
+                const std::vector<sweep::ParamPoint>& group,
+                const std::vector<sweep::JobResult>& group_results) {
+              double mean = 0.0;
+              for (const auto& result : group_results) {
+                mean += result.metrics.get_double("chunk_mean") / chunks;
+              }
+              double half_width = 0.0;
+              if (chunks > 1) {
+                // 95% CI from the spread of the (equal-sized, independent)
+                // chunk means. With only `chunks` observations the
+                // Student-t quantile is required — z = 1.96 would
+                // under-cover at 4 dof.
+                static constexpr double kT975[] = {0.0,   12.706, 4.303, 3.182,
+                                                   2.776, 2.571,  2.447, 2.365,
+                                                   2.306, 2.262};
+                const double t = chunks - 1 < 10 ? kT975[chunks - 1] : 1.96;
+                double var = 0.0;
+                for (const auto& result : group_results) {
+                  const double d =
+                      result.metrics.get_double("chunk_mean") - mean;
+                  var += d * d / (chunks - 1);
+                }
+                half_width = t * std::sqrt(var / chunks);
+              } else {
+                half_width = group_results.front().metrics.get_double(
+                    "chunk_half_width_95");
+              }
+              return sweep::DerivedPoint{
+                  sweep::ParamPoint().set(
+                      "violation_distance",
+                      group.front().get_int("violation_distance")),
+                  sweep::Metrics()
+                      .set("attack_accept_mean", mean)
+                      .set("ci_half_width", half_width)
+                      .set("samples", chunks * chunk_samples)
+                      .set("sound", mean - half_width <= 1.0 / 3.0)};
+            }));
     Table table({"violation distance", "attack accept (mean)",
                  "CI half-width", "<= 1/3?"});
-    for (std::size_t base = 0; base < points.size();
-         base += static_cast<std::size_t>(chunks)) {
-      // Chunks of one distance are consecutive (chunk is the fast axis).
-      // Under --shard only the owning shard has them; it records the
-      // combined point, the other shards declare it.
-      if (results[base].skipped) {
-        ctx.skip_record("mc_soundness_combined");
-        continue;
-      }
-      double mean = 0.0;
-      for (int c = 0; c < chunks; ++c) {
-        mean += results[base + static_cast<std::size_t>(c)]
-                    .metrics.get_double("chunk_mean") /
-                chunks;
-      }
-      double half_width = 0.0;
-      if (chunks > 1) {
-        // 95% CI from the spread of the (equal-sized, independent) chunk
-        // means. With only `chunks` observations the Student-t quantile is
-        // required — z = 1.96 would under-cover at 4 dof.
-        static constexpr double kT975[] = {0.0,   12.706, 4.303, 3.182,
-                                           2.776, 2.571,  2.447, 2.365,
-                                           2.306, 2.262};
-        const double t = chunks - 1 < 10 ? kT975[chunks - 1] : 1.96;
-        double var = 0.0;
-        for (int c = 0; c < chunks; ++c) {
-          const double d = results[base + static_cast<std::size_t>(c)]
-                               .metrics.get_double("chunk_mean") -
-                           mean;
-          var += d * d / (chunks - 1);
-        }
-        half_width = t * std::sqrt(var / chunks);
-      } else {
-        half_width = results[base].metrics.get_double("chunk_half_width_95");
-      }
-      const bool sound = mean - half_width <= 1.0 / 3.0;
-      ctx.record_owned(
-          "mc_soundness_combined",
-          sweep::ParamPoint().set("violation_distance",
-                                  points[base].get_int("violation_distance")),
-          sweep::Metrics()
-              .set("attack_accept_mean", mean)
-              .set("ci_half_width", half_width)
-              .set("samples", chunks * chunk_samples)
-              .set("sound", sound));
-      table.add_row({Table::fmt(points[base].get_int("violation_distance")),
-                     Table::fmt(mean), Table::fmt(half_width),
-                     sound ? "yes" : "NO"});
+    for (std::size_t g = points.size(); g < results.size(); ++g) {
+      if (results[g].skipped) continue;  // owned by another process
+      const auto& m = results[g].metrics;
+      table.add_row({Table::fmt(points[(g - points.size()) *
+                                       static_cast<std::size_t>(chunks)]
+                                    .get_int("violation_distance")),
+                     Table::fmt(m.get_double("attack_accept_mean")),
+                     Table::fmt(m.get_double("ci_half_width")),
+                     m.get_bool("sound") ? "yes" : "NO"});
     }
     table.print(out);
   }

@@ -1,8 +1,7 @@
-// Registration entry points for every bench/ experiment. Each legacy
-// bench_<name>.cpp now defines register_<name>() (the table harness body
-// wrapped as a sweep::Experiment); the driver and the compatibility shims
-// call register_all_experiments() before dispatching through
-// sweep::cli_main.
+// Registration entry points for every bench/ experiment. Each
+// bench_<name>.cpp defines register_<name>() (the table harness body
+// wrapped as a sweep::Experiment); the dqma_bench driver calls
+// register_all_experiments() before dispatching through sweep::cli_main.
 #pragma once
 
 namespace dqma::bench {

@@ -1,8 +1,7 @@
-// Registry counterpart of bench_micro.cpp: the same simulation-primitive
-// kernels (the cost drivers behind every table harness), timed with plain
-// repetition loops so the experiment works without google-benchmark and
-// its wall times flow into the JSON trajectory (per-point wall_ms,
-// emitted under --timings).
+// Microbenchmarks of the simulation-primitive kernels (the cost drivers
+// behind every table harness), timed with plain repetition loops so their
+// wall times flow into the JSON trajectory (per-point wall_ms, emitted
+// under --timings).
 //
 // Deterministic metrics record the kernel configuration (dimension,
 // iterations) plus a checksum of the computed values — so the default
@@ -203,12 +202,12 @@ void run(sweep::ExperimentContext& ctx) {
         "byte-identical across the thread axis by the determinism\n"
         "contract; wall times (JSON: --timings) record the intra-instance\n"
         "speedup trajectory.");
-    // The points run as a hand-rolled serial loop (not serial_sweep): each
-    // point pins its kernel thread count via KernelThreadScope, and the
-    // thread-axis pair of a (kernel, size) shares one input stream so the
-    // checksum equality is visible in the JSON — both outside the JobFn
-    // contract. threads 0 resolves to the --threads budget below, so
-    // `--threads 1` stays genuinely serial.
+    // Each thread-axis pair of a (kernel, size) is one unit, run serially
+    // on this thread: each point pins its kernel thread count via
+    // KernelThreadScope, and both points draw from copies of the unit's
+    // stream, so the checksum equality is visible in the JSON. threads 0
+    // resolves to the --threads budget below, so `--threads 1` stays
+    // genuinely serial.
     std::vector<sweep::ParamPoint> points;
     const auto scales = ctx.smoke_select(
         std::vector<int>{1 << 14, 1 << 16, 1 << 18}, {1 << 14, 1 << 16});
@@ -222,23 +221,10 @@ void run(sweep::ExperimentContext& ctx) {
         }
       }
     }
-    Table ptable({"kernel", "size", "threads", "checksum", "wall (ms)"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      // Hand-rolled loop, so the shard partition is hand-rolled too: skip
-      // computing points whose record another shard owns.
-      if (!ctx.owns_next_record("parallel_kernels")) {
-        ctx.skip_record("parallel_kernels");
-        continue;
-      }
-      const auto& p = points[i];
+    const auto run_point = [&ctx](const sweep::ParamPoint& p, Rng rng) {
       const auto& kernel = p.get_string("kernel");
       const int scale = static_cast<int>(p.get_int("size"));
       const int threads = static_cast<int>(p.get_int("threads"));
-      // The threads axis is innermost, so indices 2k and 2k+1 differ only
-      // in thread count; seeding both from the even index gives the pair
-      // identical inputs — the checksum equality across the thread axis is
-      // then visible in the JSON itself.
-      Rng rng = ctx.point_rng("parallel_kernels", i - (i % 2));
       // threads 0 = "all of the --threads budget" (the sweep pool's
       // resolved size), NOT raw hardware concurrency: --threads 1 must
       // stay serial even on a many-core host.
@@ -298,13 +284,30 @@ void run(sweep::ExperimentContext& ctx) {
           checksum += quantum::expectation_local(plan, e00, rho);
         }
       }
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-      ctx.record("parallel_kernels", p,
-                 sweep::Metrics().set("checksum", checksum), wall_ms);
-      ptable.add_row({kernel, Table::fmt(scale), Table::fmt(threads),
-                      Table::fmt(checksum), Table::fmt(wall_ms, 2)});
+      sweep::JobResult result;
+      result.metrics.set("checksum", checksum);
+      result.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+      return result;
+    };
+    Table ptable({"kernel", "size", "threads", "checksum", "wall (ms)"});
+    for (std::size_t i = 0; i < points.size(); i += 2) {
+      const auto results = ctx.unit(
+          {{"parallel_kernels", points[i]},
+           {"parallel_kernels", points[i + 1]}},
+          [&](Rng& rng) {
+            return std::vector<sweep::JobResult>{run_point(points[i], rng),
+                                                 run_point(points[i + 1], rng)};
+          });
+      for (std::size_t k = 0; k < 2; ++k) {
+        if (results[k].skipped) continue;  // owned by another process
+        const auto& p = points[i + k];
+        ptable.add_row({p.get_string("kernel"), Table::fmt(p.get_int("size")),
+                        Table::fmt(p.get_int("threads")),
+                        Table::fmt(results[k].metrics.get_double("checksum")),
+                        Table::fmt(results[k].wall_ms, 2)});
+      }
     }
     ptable.print(out);
   }
@@ -318,11 +321,12 @@ void run(sweep::ExperimentContext& ctx) {
         "per level; GFLOP/s and GB/s ride in the wall_ms of the\n"
         "simd_roofline_stats points (JSON: --timings only). Levels the\n"
         "host cannot run are clamped to the best supported one.");
-    // Same hand-rolled serial loop + shard protocol as parallel_kernels:
-    // each point pins thread count and dispatch level, outside the JobFn
-    // contract. The level axis is innermost and the triple (kernel) shares
-    // one input stream via point_rng(i - i % 3), so the cross-level
-    // agreement (within rounding) is visible in the JSON itself.
+    // Each kernel's level triple is one unit, together with the two
+    // simd_roofline_stats companions of every level point, run serially
+    // like parallel_kernels: each point pins thread count and dispatch
+    // level, and all three levels draw from copies of the unit's stream,
+    // so the cross-level agreement (within rounding) is visible in the
+    // JSON itself.
     std::vector<sweep::ParamPoint> points;
     for (const char* kernel : {"apply_local", "gemm", "matvec"}) {
       for (const char* level : {"scalar", "avx2", "avx512"}) {
@@ -330,16 +334,7 @@ void run(sweep::ExperimentContext& ctx) {
             sweep::ParamPoint().set("kernel", kernel).set("level", level));
       }
     }
-    Table rtable({"kernel", "level", "ran at", "checksum", "GFLOP/s", "GB/s"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!ctx.owns_next_record("simd_roofline")) {
-        ctx.skip_record("simd_roofline");
-        for (int s = 0; s < 2; ++s) {
-          ctx.skip_record("simd_roofline_stats");
-        }
-        continue;
-      }
-      const auto& p = points[i];
+    const auto run_level = [&ctx](const sweep::ParamPoint& p, Rng rng) {
       const auto& kernel = p.get_string("kernel");
       const linalg::simd::Level requested =
           linalg::simd::parse_level(p.get_string("level"));
@@ -352,7 +347,6 @@ void run(sweep::ExperimentContext& ctx) {
           linalg::simd::clamp_to_supported(requested);
       const linalg::simd::LevelScope level_scope(exec);
       const sweep::KernelThreadScope thread_scope(1);
-      Rng rng = ctx.point_rng("simd_roofline", i - (i % 3));
       double checksum = 0.0;
       long long flops = 0;  // per iteration
       long long bytes = 0;  // per iteration
@@ -426,38 +420,56 @@ void run(sweep::ExperimentContext& ctx) {
         wall_ms = clock_ms() - t0;
         checksum = x.norm() + std::abs(x[0]);
       }
-      // record_owned, not record: the stats points below can only be
-      // computed by the shard that timed this point, so the whole triple
-      // is owned by the main point's key (other shards skip_record all
-      // three above).
-      ctx.record_owned("simd_roofline", p,
-                       sweep::Metrics()
-                           .set("checksum", checksum)
-                           .set("flops_per_iter", flops)
-                           .set("bytes_per_iter", bytes)
-                           .set("iters", iters));
+      // The stats companions carry GFLOP/s and GB/s in their wall_ms.
+      std::vector<sweep::JobResult> results(3);
+      results[0].metrics.set("checksum", checksum)
+          .set("flops_per_iter", flops)
+          .set("bytes_per_iter", bytes)
+          .set("iters", iters);
       const double wall_s = wall_ms / 1000.0;
-      const double gflops =
-          wall_s > 0.0
-              ? static_cast<double>(flops * iters) / wall_s / 1.0e9
-              : 0.0;
-      const double gbps =
-          wall_s > 0.0
-              ? static_cast<double>(bytes * iters) / wall_s / 1.0e9
-              : 0.0;
-      const std::pair<const char*, double> stat_points[] = {
-          {"gflops", gflops}, {"gbytes_per_s", gbps}};
-      for (const auto& [stat, value] : stat_points) {
-        sweep::ParamPoint stat_point;
-        stat_point.set("kernel", kernel)
-            .set("level", p.get_string("level"))
-            .set("stat", stat);
-        ctx.record_owned("simd_roofline_stats", stat_point,
-                         sweep::Metrics().set("iters", iters), value);
+      const long long per_iter[] = {flops, bytes};
+      for (int s = 0; s < 2; ++s) {
+        results[static_cast<std::size_t>(s) + 1].metrics.set("iters", iters);
+        results[static_cast<std::size_t>(s) + 1].wall_ms =
+            wall_s > 0.0
+                ? static_cast<double>(per_iter[s] * iters) / wall_s / 1.0e9
+                : 0.0;
       }
-      rtable.add_row({kernel, p.get_string("level"),
-                      linalg::simd::level_name(exec), Table::fmt(checksum),
-                      Table::fmt(gflops, 2), Table::fmt(gbps, 2)});
+      return results;
+    };
+    Table rtable({"kernel", "level", "ran at", "checksum", "GFLOP/s", "GB/s"});
+    for (std::size_t i = 0; i < points.size(); i += 3) {
+      std::vector<sweep::UnitRecord> records;
+      for (std::size_t k = i; k < i + 3; ++k) {
+        records.push_back({"simd_roofline", points[k]});
+        for (const char* stat : {"gflops", "gbytes_per_s"}) {
+          records.push_back({"simd_roofline_stats",
+                             sweep::ParamPoint()
+                                 .set("kernel", points[k].get_string("kernel"))
+                                 .set("level", points[k].get_string("level"))
+                                 .set("stat", stat)});
+        }
+      }
+      const auto results = ctx.unit(records, [&](Rng& rng) {
+        std::vector<sweep::JobResult> unit_results;
+        for (std::size_t k = i; k < i + 3; ++k) {
+          for (sweep::JobResult& result : run_level(points[k], rng)) {
+            unit_results.push_back(std::move(result));
+          }
+        }
+        return unit_results;
+      });
+      for (std::size_t k = 0; k < 3; ++k) {
+        if (results[3 * k].skipped) continue;  // owned by another process
+        const auto& level = points[i + k].get_string("level");
+        rtable.add_row(
+            {points[i + k].get_string("kernel"), level,
+             linalg::simd::level_name(linalg::simd::clamp_to_supported(
+                 linalg::simd::parse_level(level))),
+             Table::fmt(results[3 * k].metrics.get_double("checksum")),
+             Table::fmt(results[3 * k + 1].wall_ms, 2),
+             Table::fmt(results[3 * k + 2].wall_ms, 2)});
+      }
     }
     rtable.print(out);
   }

@@ -20,6 +20,7 @@
 #include "serve/handlers.hpp"
 #include "serve/server.hpp"
 #include "sweep/registry.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace dqma::bench {
@@ -85,98 +86,93 @@ void run(sweep::ExperimentContext& ctx) {
 
   Table table({"threads", "requests", "ok", "cache miss", "req/s", "p50 ms",
                "p95 ms", "p99 ms"});
-  // Hand-rolled serial loop (each point owns a whole Server with its own
-  // pool), so the shard partition is hand-rolled too — mirroring the
-  // parallel_kernels section of the micro experiment.
+  // Each thread count is one unit, run serially (it owns a whole Server
+  // with its own pool): the engine point plus one stats point per
+  // percentile/rate, the value carried in wall_ms (nondeterministic =>
+  // --timings only); `stat` names it.
+  const char* const stat_names[] = {"req_per_s", "p50_ms", "p95_ms",
+                                    "p99_ms"};
   for (const int threads_param : {1, 0}) {
-    sweep::ParamPoint point;
-    point.set("threads", threads_param).set("requests", requests);
-    if (!ctx.owns_next_record("engine")) {
-      ctx.skip_record("engine");
-      for (int s = 0; s < 4; ++s) {
-        ctx.skip_record("stats");
+    std::vector<sweep::UnitRecord> records = {
+        {"engine", sweep::ParamPoint()
+                       .set("threads", threads_param)
+                       .set("requests", requests)}};
+    for (const char* stat : stat_names) {
+      records.push_back({"stats", sweep::ParamPoint()
+                                      .set("threads", threads_param)
+                                      .set("stat", stat)});
+    }
+    const auto results = ctx.unit(records, [&](util::Rng&) {
+      // threads 0 = the sweep pool's resolved --threads budget, so
+      // `--threads 1` keeps even the "parallel" point serial.
+      const int threads =
+          threads_param == 0 ? ctx.pool().thread_count() : threads_param;
+      serve::Server server(serve::ServerConfig{
+          threads, static_cast<std::size_t>(requests) + 1});
+      std::vector<std::string> responses(lines.size());
+      std::vector<Clock::time_point> submitted(lines.size());
+      std::vector<double> latency_ms(lines.size(), 0.0);
+
+      const Clock::time_point start = Clock::now();
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        submitted[i] = Clock::now();
+        server.submit(lines[i], [&, i](std::string response) {
+          // Dispatcher-thread write; drain()'s lock hand-off orders it
+          // before the reads below.
+          responses[i] = std::move(response);
+          latency_ms[i] = std::chrono::duration<double, std::milli>(
+                              Clock::now() - submitted[i])
+                              .count();
+        });
       }
-      continue;
-    }
-    // threads 0 = the sweep pool's resolved --threads budget, so
-    // `--threads 1` keeps even the "parallel" point serial.
-    const int threads =
-        threads_param == 0 ? ctx.pool().thread_count() : threads_param;
+      server.drain();
+      const double wall_ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      const serve::ServerStats stats = server.stats();
 
-    serve::Server server(serve::ServerConfig{
-        threads, static_cast<std::size_t>(requests) + 1});
-    std::vector<std::string> responses(lines.size());
-    std::vector<Clock::time_point> submitted(lines.size());
-    std::vector<double> latency_ms(lines.size(), 0.0);
+      std::string all_bytes;
+      for (const std::string& response : responses) {
+        all_bytes += response;
+        all_bytes += '\n';
+      }
+      const auto checksum =
+          static_cast<long long>(sweep::fnv1a64(all_bytes));
 
-    const Clock::time_point start = Clock::now();
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      submitted[i] = Clock::now();
-      server.submit(lines[i], [&, i](std::string response) {
-        // Dispatcher-thread write; drain()'s lock hand-off orders it
-        // before the reads below.
-        responses[i] = std::move(response);
-        latency_ms[i] = std::chrono::duration<double, std::milli>(
-                            Clock::now() - submitted[i])
-                            .count();
-      });
-    }
-    server.drain();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    const serve::ServerStats stats = server.stats();
+      std::vector<double> sorted = latency_ms;
+      std::sort(sorted.begin(), sorted.end());
+      const double p50 = percentile(sorted, 0.50);
+      const double p95 = percentile(sorted, 0.95);
+      const double p99 = percentile(sorted, 0.99);
+      const double req_per_s =
+          wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms
+                        : 0.0;
 
-    std::string all_bytes;
-    for (const std::string& response : responses) {
-      all_bytes += response;
-      all_bytes += '\n';
-    }
-    const auto checksum =
-        static_cast<long long>(sweep::fnv1a64(all_bytes));
-
-    std::vector<double> sorted = latency_ms;
-    std::sort(sorted.begin(), sorted.end());
-    const double p50 = percentile(sorted, 0.50);
-    const double p95 = percentile(sorted, 0.95);
-    const double p99 = percentile(sorted, 0.99);
-    const double req_per_s =
-        wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms
-                      : 0.0;
-
-    // record_owned, not record: ownership of this point and its four
-    // stats points below is decided once by the "engine" key check at
-    // the top of the loop; the stats keys may hash to another shard,
-    // which has already skip_record'd them.
-    ctx.record_owned("engine", point,
-               sweep::Metrics()
-                   .set("ok", static_cast<long long>(stats.ok))
-                   .set("failed", static_cast<long long>(stats.failed))
-                   .set("overloaded",
-                        static_cast<long long>(stats.overloaded))
-                   .set("cache_misses",
-                        static_cast<long long>(stats.cache.misses))
-                   .set("cache_hits",
-                        static_cast<long long>(stats.cache.hits))
-                   .set("response_checksum", checksum),
-               wall_ms);
-    // One stats point per percentile/rate, the value carried in wall_ms
-    // (nondeterministic => --timings only); `stat` names it.
-    const std::pair<const char*, double> stat_points[] = {
-        {"req_per_s", req_per_s}, {"p50_ms", p50}, {"p95_ms", p95},
-        {"p99_ms", p99}};
-    for (const auto& [stat, value] : stat_points) {
-      sweep::ParamPoint stat_point;
-      stat_point.set("threads", threads_param).set("stat", stat);
-      ctx.record_owned("stats", stat_point,
-                       sweep::Metrics().set("samples", requests), value);
-    }
-
+      std::vector<sweep::JobResult> unit_results(records.size());
+      unit_results[0].metrics
+          .set("ok", static_cast<long long>(stats.ok))
+          .set("failed", static_cast<long long>(stats.failed))
+          .set("overloaded", static_cast<long long>(stats.overloaded))
+          .set("cache_misses", static_cast<long long>(stats.cache.misses))
+          .set("cache_hits", static_cast<long long>(stats.cache.hits))
+          .set("response_checksum", checksum);
+      unit_results[0].wall_ms = wall_ms;
+      const double stat_values[] = {req_per_s, p50, p95, p99};
+      for (std::size_t k = 0; k < 4; ++k) {
+        unit_results[k + 1].metrics.set("samples", requests);
+        unit_results[k + 1].wall_ms = stat_values[k];
+      }
+      return unit_results;
+    });
+    if (results[0].skipped) continue;  // owned by another process
+    const auto& m = results[0].metrics;
     table.add_row({Table::fmt(threads_param), Table::fmt(requests),
-                   Table::fmt(static_cast<long long>(stats.ok)),
-                   Table::fmt(static_cast<long long>(stats.cache.misses)),
-                   Table::fmt(req_per_s, 1), Table::fmt(p50, 3),
-                   Table::fmt(p95, 3), Table::fmt(p99, 3)});
+                   Table::fmt(m.get_int("ok")),
+                   Table::fmt(m.get_int("cache_misses")),
+                   Table::fmt(results[1].wall_ms, 1),
+                   Table::fmt(results[2].wall_ms, 3),
+                   Table::fmt(results[3].wall_ms, 3),
+                   Table::fmt(results[4].wall_ms, 3)});
   }
   table.print(out);
 }

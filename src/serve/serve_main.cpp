@@ -32,6 +32,7 @@
 #include "serve/request.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
+#include "util/parse.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DQMA_SERVE_POSIX 1
@@ -100,16 +101,19 @@ bool parse_options(int argc, char** argv, Options& options,
     } else if (arg == "--threads") {
       const char* value = next_value("--threads");
       if (value == nullptr) return false;
-      options.threads = std::atoi(value);
+      if (!util::parse_number(value, options.threads) ||
+          options.threads < 0) {
+        error = "--threads requires a non-negative integer";
+        return false;
+      }
     } else if (arg == "--max-pending") {
       const char* value = next_value("--max-pending");
       if (value == nullptr) return false;
-      const long long parsed = std::atoll(value);
-      if (parsed <= 0) {
-        error = "--max-pending must be positive";
+      if (!util::parse_number(value, options.max_pending) ||
+          options.max_pending == 0) {
+        error = "--max-pending must be a positive integer";
         return false;
       }
-      options.max_pending = static_cast<std::size_t>(parsed);
     } else if (arg == "--stats") {
       options.stats = true;
     } else if (arg == "--list") {

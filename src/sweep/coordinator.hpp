@@ -3,13 +3,14 @@
 //
 // Static `--shard i/N` finishes at the pace of the slowest shard, and a
 // lost runner needs a manual resume. The coordinator replaces the fixed
-// partition with leases: every (experiment, series, group) work unit is
-// identified by the same 64-bit partition key sharding uses —
-// derive_seed(series_seed, index) for kPartition points,
-// derive_seed(series_seed, fnv1a64(group value)) for kGroupBy groups — and
-// any worker process may lease any free unit. Leases decide only WHO runs
-// a job, never its seed, so the merged document is byte-identical to the
-// monolithic run at any worker count and under any kill schedule.
+// partition with leases: every work unit (sweep/registry.hpp) is
+// identified by the same 64-bit key sharding uses —
+// derive_seed(series_seed, index) for a point, derive_seed(series_seed,
+// fnv1a64(group value)) for a kGroupBy group, its first record's key for a
+// multi-record unit — and any worker process may lease any free unit.
+// Leases decide only WHO runs a unit, never its seed, so the merged
+// document is byte-identical to the monolithic run at any worker count and
+// under any kill schedule.
 //
 // Directory protocol (no daemon, no network; any shared filesystem works):
 //
@@ -32,10 +33,12 @@
 // can record anything twice; its partial results are discarded because its
 // document is never written and only `.final` workers feed the merge.
 //
-// Crash ordering: a worker appends a unit's result to its own checkpoint
-// log (fsync) BEFORE writing the done marker, so a done unit is always
-// recoverable from the log; torn lease/done files (crash mid-write) parse
-// as garbage and are reclaimed like stale ones.
+// Crash ordering: a worker appends every record of a unit to its own
+// checkpoint log (fsync) BEFORE writing the unit's done marker, so a done
+// unit is always recoverable from the log. The one exception is a
+// record() point: every worker computes it inline, so its done marker
+// (commit_ready) has no log line to recover. Torn lease/done files (crash
+// mid-write) parse as garbage and are reclaimed like stale ones.
 //
 // Contention backoff is jittered exponential, with jitter drawn from a
 // seed-derived stream (base_seed, worker id), so delays are reproducible
@@ -145,8 +148,6 @@ class Coordinator {
 
   CheckpointLog& log() { return *log_; }
   const std::string& worker() const { return options_.worker; }
-  const std::string& dir() const { return options_.dir; }
-  int lease_timeout_ms() const { return options_.lease_timeout_ms; }
   Stats stats() const;
 
   /// Stops the heartbeat thread without finalizing (test hook: simulates a

@@ -3,9 +3,8 @@
 #include "sweep/parallel.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +19,7 @@
 #include "linalg/simd.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/trajectory.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 #include "util/scratch.hpp"
 #include "util/table.hpp"
@@ -56,6 +56,35 @@ void register_experiment(Experiment experiment) {
 
 const std::vector<Experiment>& experiments() { return registry(); }
 
+/// A run of work units: the records they emit in canonical order, the jobs
+/// that compute them, and how the jobs are dispatched.
+struct ExperimentContext::Plan {
+  struct Record {
+    const std::string* series;
+    const ParamPoint* params;
+    std::size_t unit;
+  };
+  /// Computes records [first, first + count) of one unit.
+  struct Job {
+    std::size_t unit;
+    std::size_t first;
+    std::size_t count;
+    std::uint64_t seed;
+  };
+
+  std::vector<Record> records;
+  std::vector<Job> jobs;
+  std::vector<std::uint64_t> unit_keys;
+  /// Fills results[job.first, job.first + job.count).
+  std::function<void(const Job&, util::Rng&, JobResult*)> run;
+  /// Runs in the owning process once all of a unit's jobs have results,
+  /// before the unit is committed (group reducers).
+  std::function<void(std::size_t unit, std::vector<JobResult>&)> finish;
+  bool serial = false;
+  /// Every process computes every unit; ownership decides recording only.
+  bool replicate = false;
+};
+
 ExperimentContext::ExperimentContext(const Experiment& experiment,
                                      ThreadPool& pool, ResultSink& sink,
                                      std::ostream& out, bool smoke,
@@ -69,85 +98,212 @@ ExperimentContext::ExperimentContext(const Experiment& experiment,
       base_seed_(util::derive_seed(global_seed, fnv1a64(experiment.name))),
       controls_(controls) {}
 
-std::vector<JobResult> ExperimentContext::sweep(
-    const std::string& series, const std::vector<ParamPoint>& points,
-    const JobFn& fn, const SweepPolicy& policy) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  const std::size_t first_order = next_order_;
-  next_order_ += points.size();
+std::uint64_t ExperimentContext::next_record_key(const std::string& series) {
+  return util::derive_seed(util::derive_seed(base_seed_, fnv1a64(series)),
+                           record_counts_[series]++);
+}
 
-  // Partition keys. kPartition/kReplicate key each point by its RNG seed;
-  // kGroupBy keys the whole group by its parameter value so the group is
-  // all-or-nothing per shard. Seeding is identical in every mode.
-  std::vector<std::uint64_t> keys(points.size());
+void ExperimentContext::execute(const Plan& plan,
+                                std::vector<JobResult>& results) {
+  const std::size_t first_order = next_order_;
+  next_order_ += plan.records.size();
+  CheckpointLog* log = controls_ != nullptr ? controls_->checkpoint : nullptr;
+  Coordinator* coordinator =
+      controls_ != nullptr ? controls_->coordinator : nullptr;
+  const ShardSpec shard = controls_ != nullptr ? controls_->shard : ShardSpec{};
+  enum : char { kUndecided, kOwned, kForeign };
+
+  // The ownership rule. A unit whose values are at hand (logged, or given
+  // inline) is claimed `ready` for recording; a unit still to compute is
+  // claimed for running — under --coordinate a lease, committed after the
+  // unit's records are logged.
+  const auto claim = [&](std::size_t u, bool ready) {
+    const std::uint64_t key = plan.unit_keys[u];
+    if (coordinator == nullptr) {
+      return shard.contains(key) ? kOwned : kForeign;
+    }
+    const auto claimed =
+        ready ? coordinator->commit_ready(key) : coordinator->acquire(key);
+    return claimed == Coordinator::Claim::kAcquired ? kOwned : kForeign;
+  };
+
+  // Jobs whose every record is in the log are loaded, never rerun.
+  std::vector<std::size_t> to_run;
+  const std::size_t unit_count = plan.unit_keys.size();
+  std::vector<std::size_t> scheduled(unit_count, 0);
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const Plan::Job& job = plan.jobs[j];
+    bool cached = log != nullptr;
+    for (std::size_t r = job.first; cached && r < job.first + job.count;
+         ++r) {
+      const CheckpointLog::Entry* entry = log->find(name_, first_order + r);
+      if (entry == nullptr) {
+        cached = false;
+        break;
+      }
+      util::require(entry->key == plan.unit_keys[job.unit] &&
+                        serialize_identically(entry->params,
+                                              *plan.records[r].params),
+                    "checkpoint entry for " + name_ + "[" +
+                        std::to_string(first_order + r) +
+                        "] does not match this run's job (the log belongs "
+                        "to a different workload)");
+      results[r].metrics = entry->metrics;
+      results[r].wall_ms = entry->wall_ms;
+    }
+    if (!cached) {
+      to_run.push_back(j);
+      ++scheduled[job.unit];
+    }
+  }
+
+  // Ownership is settled up front, except that a coordinated unit with one
+  // job left is leased only when that job starts, so concurrent workers
+  // steal work from each other unit by unit.
+  std::vector<char> owner(unit_count, kUndecided);
+  for (std::size_t u = 0; u < unit_count; ++u) {
+    if (coordinator == nullptr || scheduled[u] != 1) {
+      owner[u] = claim(u, /*ready=*/scheduled[u] == 0);
+    }
+  }
+  std::erase_if(to_run, [&](std::size_t j) {
+    return owner[plan.jobs[j].unit] == kForeign && !plan.replicate;
+  });
+
+  // Runs for every owned unit; a unit that was leased is committed.
+  const auto finish = [&](std::size_t u) {
+    if (plan.finish) {
+      plan.finish(u, results);
+    }
+    if (coordinator != nullptr && scheduled[u] > 0) {
+      coordinator->complete(plan.unit_keys[u]);
+    }
+  };
+  std::vector<std::atomic<std::size_t>> pending(scheduled.begin(),
+                                                scheduled.end());
+  const auto run_job = [&](std::size_t slot) {
+    const Plan::Job& job = plan.jobs[to_run[slot]];
+    const std::size_t u = job.unit;
+    if (owner[u] == kUndecided) {  // only this job touches its unit
+      owner[u] = claim(u, /*ready=*/false);
+    }
+    if (owner[u] == kForeign && !plan.replicate) {
+      return;
+    }
+    util::Rng rng(job.seed);
+    plan.run(job, rng, &results[job.first]);
+    if (owner[u] != kOwned) {
+      return;
+    }
+    // Log first, commit after: a committed unit is always recoverable.
+    if (log != nullptr) {
+      for (std::size_t r = job.first; r < job.first + job.count; ++r) {
+        log->append(name_, *plan.records[r].series, first_order + r,
+                    plan.unit_keys[u], *plan.records[r].params, results[r]);
+      }
+    }
+    if (pending[u].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish(u);
+    }
+  };
+  if (plan.serial) {
+    for (std::size_t slot = 0; slot < to_run.size(); ++slot) {
+      run_job(slot);
+    }
+  } else {
+    pool_.run_indexed(to_run.size(), run_job);
+  }
+
+  for (std::size_t u = 0; u < unit_count; ++u) {
+    if (owner[u] == kOwned && scheduled[u] == 0) {
+      finish(u);
+    }
+  }
+  for (std::size_t r = 0; r < plan.records.size(); ++r) {
+    const Plan::Record& record = plan.records[r];
+    if (owner[record.unit] == kOwned) {
+      ParamPoint prefixed;
+      prefixed.set("series", *record.series);
+      for (const auto& [name, value] : record.params->entries()) {
+        prefixed.set(name, value);
+      }
+      sink_.add_point(std::move(prefixed), results[r].metrics,
+                      results[r].wall_ms, first_order + r);
+    } else if (!plan.replicate) {
+      results[r] = JobResult{};
+      results[r].skipped = true;
+    }
+  }
+}
+
+std::vector<JobResult> ExperimentContext::run_series(
+    const std::string& series, const std::vector<ParamPoint>& points,
+    const JobFn& fn, const SweepPolicy& policy, bool serial) {
+  const std::uint64_t seed = util::derive_seed(base_seed_, fnv1a64(series));
+  const bool grouped = policy.mode == SweepPolicy::Mode::kGroupBy;
+  Plan plan;
+  plan.serial = serial;
+  plan.replicate = policy.mode == SweepPolicy::Mode::kReplicate;
+  plan.run = [&](const Plan::Job& job, util::Rng& rng, JobResult* out) {
+    const auto start = std::chrono::steady_clock::now();
+    out->metrics = fn(points[job.first], rng);
+    out->wall_ms = elapsed_ms(start);
+  };
+
+  // One unit per point, keyed by its seed; or one per group, keyed by the
+  // group's value. Seeding is per point in every mode.
+  std::vector<std::vector<std::size_t>> members;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (policy.mode == SweepPolicy::Mode::kGroupBy) {
+    std::size_t u = plan.unit_keys.size();
+    if (grouped) {
       const Value* group = points[i].find(policy.group_param);
       util::require(group != nullptr,
                     "sweep '" + series + "': group_by param '" +
                         policy.group_param + "' missing from point");
-      keys[i] = util::derive_seed(series_seed,
-                                  fnv1a64(value_to_string(*group)));
-    } else {
-      keys[i] = util::derive_seed(series_seed, i);
-    }
-  }
-
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    return coordinated_sweep(series, points, fn, policy, keys, series_seed,
-                             first_order);
-  }
-
-  const ShardSpec shard = controls_ ? controls_->shard : ShardSpec{};
-  CheckpointLog* log = controls_ ? controls_->checkpoint : nullptr;
-
-  std::vector<JobResult> results(points.size());
-  std::vector<char> mine(points.size(), 1);
-  std::vector<std::size_t> to_run;
-  to_run.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    mine[i] = shard.contains(keys[i]) ? 1 : 0;
-    const CheckpointLog::Entry* cached =
-        (mine[i] != 0 && log != nullptr)
-            ? log->find(name_, first_order + i)
-            : nullptr;
-    if (cached != nullptr) {
-      util::require(cached->key == keys[i] &&
-                        serialize_identically(cached->params, points[i]),
-                    "resume: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the log belongs "
-                        "to a different workload)");
-      results[i].metrics = cached->metrics;
-      results[i].wall_ms = cached->wall_ms;
-    } else if (mine[i] != 0 ||
-               policy.mode == SweepPolicy::Mode::kReplicate) {
-      to_run.push_back(i);
-    } else {
-      results[i].skipped = true;
-    }
-  }
-
-  JobCompleteFn on_complete;
-  if (log != nullptr) {
-    on_complete = [&](std::size_t i, const JobResult& result) {
-      if (mine[i] != 0) {
-        log->append(name_, series, first_order + i, keys[i], points[i],
-                    result);
+      const std::uint64_t key =
+          util::derive_seed(seed, fnv1a64(value_to_string(*group)));
+      u = static_cast<std::size_t>(
+          std::find(plan.unit_keys.begin(), plan.unit_keys.end(), key) -
+          plan.unit_keys.begin());
+      if (u == plan.unit_keys.size()) {
+        plan.unit_keys.push_back(key);
+        members.emplace_back();
       }
+      members[u].push_back(i);
+    } else {
+      plan.unit_keys.push_back(util::derive_seed(seed, i));
+    }
+    plan.records.push_back({&series, &points[i], u});
+    plan.jobs.push_back({u, i, 1, util::derive_seed(seed, i)});
+  }
+
+  std::vector<ParamPoint> derived_params(members.size());
+  if (grouped && policy.reduce) {
+    for (std::size_t g = 0; g < members.size(); ++g) {
+      plan.records.push_back({&policy.derived_series, &derived_params[g], g});
+    }
+    plan.finish = [&](std::size_t g, std::vector<JobResult>& results) {
+      std::vector<ParamPoint> group_points;
+      std::vector<JobResult> group_results;
+      for (const std::size_t i : members[g]) {
+        group_points.push_back(points[i]);
+        group_results.push_back(results[i]);
+      }
+      DerivedPoint derived = policy.reduce(group_points, group_results);
+      derived_params[g] = std::move(derived.params);
+      results[points.size() + g].metrics = std::move(derived.metrics);
     };
   }
-  run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                     on_complete);
 
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (mine[i] != 0) {
-      add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
-                  first_order + i);
-    }
-  }
+  std::vector<JobResult> results(plan.records.size());
+  execute(plan, results);
   return results;
+}
+
+std::vector<JobResult> ExperimentContext::sweep(
+    const std::string& series, const std::vector<ParamPoint>& points,
+    const JobFn& fn, const SweepPolicy& policy) {
+  return run_series(series, points, fn, policy, /*serial=*/false);
 }
 
 std::vector<JobResult> ExperimentContext::sweep(const std::string& series,
@@ -157,362 +313,62 @@ std::vector<JobResult> ExperimentContext::sweep(const std::string& series,
   return sweep(series, grid.enumerate(), fn, policy);
 }
 
-std::vector<JobResult> ExperimentContext::coordinated_sweep(
-    const std::string& series, const std::vector<ParamPoint>& points,
-    const JobFn& fn, const SweepPolicy& policy,
-    const std::vector<std::uint64_t>& keys, std::uint64_t series_seed,
-    std::size_t first_order) {
-  using Claim = Coordinator::Claim;
-  Coordinator& coordinator = *controls_->coordinator;
-  CheckpointLog& log = coordinator.log();
-
-  std::vector<JobResult> results(points.size());
-  std::vector<char> mine(points.size(), 0);
-  std::vector<std::size_t> to_run;
-  to_run.reserve(points.size());
-
-  // This worker's own log caches units it completed in an earlier pass (or
-  // in a pre-crash run under the same worker id): committed results are
-  // re-recorded from the log instead of recomputed.
-  std::vector<const CheckpointLog::Entry*> cached(points.size(), nullptr);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    cached[i] = log.find(name_, first_order + i);
-    if (cached[i] != nullptr) {
-      util::require(cached[i]->key == keys[i] &&
-                        serialize_identically(cached[i]->params, points[i]),
-                    "coordinate: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the directory "
-                        "belongs to a different workload)");
-    }
-  }
-  const auto prefill = [&](std::size_t i) {
-    results[i].metrics = cached[i]->metrics;
-    results[i].wall_ms = cached[i]->wall_ms;
-  };
-
-  if (policy.mode == SweepPolicy::Mode::kGroupBy) {
-    // Groups are all-or-nothing lease units, acquired up front (a group's
-    // points must land in one worker so its reduction can run there).
-    std::vector<std::uint64_t> group_keys;    // unique, first-appearance
-    std::vector<std::uint64_t> held_groups;   // leases to complete
-    std::vector<std::vector<std::size_t>> members;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::size_t g = 0;
-      while (g < group_keys.size() && group_keys[g] != keys[i]) {
-        ++g;
-      }
-      if (g == group_keys.size()) {
-        group_keys.push_back(keys[i]);
-        members.emplace_back();
-      }
-      members[g].push_back(i);
-    }
-    for (std::size_t g = 0; g < group_keys.size(); ++g) {
-      const bool fully_cached =
-          std::all_of(members[g].begin(), members[g].end(),
-                      [&](std::size_t i) { return cached[i] != nullptr; });
-      // A fully cached group commits without re-leasing; otherwise the
-      // lease is held across the sweep and completed after every member's
-      // result is in the log (crash ordering: log before done marker).
-      const Claim claim = fully_cached
-                              ? coordinator.commit_ready(group_keys[g])
-                              : coordinator.acquire(group_keys[g]);
-      if (claim != Claim::kAcquired) {
-        for (const std::size_t i : members[g]) {
-          results[i].skipped = true;
-        }
-        continue;
-      }
-      if (!fully_cached) {
-        held_groups.push_back(group_keys[g]);
-      }
-      for (const std::size_t i : members[g]) {
-        mine[i] = 1;
-        if (cached[i] != nullptr) {
-          prefill(i);
-        } else {
-          to_run.push_back(i);
-        }
-      }
-    }
-    const JobCompleteFn on_complete = [&](std::size_t i,
-                                          const JobResult& result) {
-      log.append(name_, series, first_order + i, keys[i], points[i], result);
-    };
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                       on_complete);
-    for (const std::uint64_t group : held_groups) {
-      coordinator.complete(group);
-    }
-  } else if (policy.mode == SweepPolicy::Mode::kReplicate) {
-    // Every worker computes all points (the body needs complete results for
-    // cross-point post-processing); leases only decide which worker RECORDS
-    // each point, resolved after the values exist.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] != nullptr) {
-        prefill(i);
-      } else {
-        to_run.push_back(i);
-      }
-    }
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] != nullptr) {
-        mine[i] = coordinator.commit_ready(keys[i]) == Claim::kAcquired;
-      } else if (coordinator.acquire(keys[i]) == Claim::kAcquired) {
-        log.append(name_, series, first_order + i, keys[i], points[i],
-                   results[i]);
-        coordinator.complete(keys[i]);
-        mine[i] = 1;
-      }
-    }
-  } else {  // kPartition
-    // Cached points commit up front; the rest are leased lazily on the
-    // pool thread just before execution (the admit hook), so concurrent
-    // workers steal work from each other point by point.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (cached[i] == nullptr) {
-        to_run.push_back(i);
-        continue;
-      }
-      if (coordinator.commit_ready(keys[i]) == Claim::kAcquired) {
-        prefill(i);
-        mine[i] = 1;
-      } else {
-        results[i].skipped = true;
-      }
-    }
-    const JobAdmitFn admit = [&](std::size_t i) {
-      if (coordinator.acquire(keys[i]) == Claim::kAcquired) {
-        mine[i] = 1;
-        return true;
-      }
-      return false;
-    };
-    const JobCompleteFn on_complete = [&](std::size_t i,
-                                          const JobResult& result) {
-      log.append(name_, series, first_order + i, keys[i], points[i], result);
-      coordinator.complete(keys[i]);
-    };
-    run_sweep_selected(pool_, points, series_seed, fn, to_run, results,
-                       on_complete, admit);
-  }
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (mine[i] != 0) {
-      add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
-                  first_order + i);
-    }
-  }
-  return results;
-}
-
 std::vector<JobResult> ExperimentContext::serial_sweep(
     const std::string& series, const std::vector<ParamPoint>& points,
     const JobFn& fn) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  const std::size_t first_order = next_order_;
-  next_order_ += points.size();
+  return run_series(series, points, fn, SweepPolicy{}, /*serial=*/true);
+}
 
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // Serial work stealing: each point is leased right before it runs —
-    // still on the calling thread, so the kernels inside fn keep their
-    // kernel-pool parallelism — and committed once its result is logged.
-    using Claim = Coordinator::Claim;
-    Coordinator& coordinator = *controls_->coordinator;
-    CheckpointLog& log = coordinator.log();
-    std::vector<JobResult> results(points.size());
-    std::vector<char> mine(points.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const std::uint64_t key = util::derive_seed(series_seed, i);
-      const CheckpointLog::Entry* cached = log.find(name_, first_order + i);
-      if (cached != nullptr) {
-        util::require(cached->key == key &&
-                          serialize_identically(cached->params, points[i]),
-                      "coordinate: checkpoint entry for " + name_ + "[" +
-                          std::to_string(first_order + i) +
-                          "] does not match this run's job (the directory "
-                          "belongs to a different workload)");
-        if (coordinator.commit_ready(key) == Claim::kAcquired) {
-          results[i].metrics = cached->metrics;
-          results[i].wall_ms = cached->wall_ms;
-          mine[i] = 1;
-        } else {
-          results[i].skipped = true;
-        }
-        continue;
-      }
-      if (coordinator.acquire(key) != Claim::kAcquired) {
-        results[i].skipped = true;
-        continue;
-      }
-      mine[i] = 1;
-      util::Rng rng(key);  // sweep()'s exact per-point seeding
-      const auto start = std::chrono::steady_clock::now();
-      results[i].metrics = fn(points[i], rng);
-      results[i].wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      log.append(name_, series, first_order + i, key, points[i], results[i]);
-      coordinator.complete(key);
+std::vector<JobResult> ExperimentContext::unit(
+    const std::vector<UnitRecord>& records, const UnitFn& fn) {
+  util::require(!records.empty(), "unit: no records");
+  Plan plan;
+  plan.serial = true;
+  for (const UnitRecord& record : records) {
+    const std::uint64_t key = next_record_key(record.series);
+    if (plan.unit_keys.empty()) {
+      plan.unit_keys.push_back(key);
     }
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (mine[i] != 0) {
-        add_to_sink(series, points[i], results[i].metrics,
-                    results[i].wall_ms, first_order + i);
-      }
-    }
-    return results;
+    plan.records.push_back({&record.series, &record.params, 0});
   }
-
-  const ShardSpec shard = controls_ ? controls_->shard : ShardSpec{};
-  CheckpointLog* log = controls_ ? controls_->checkpoint : nullptr;
-
-  std::vector<JobResult> results(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t key = util::derive_seed(series_seed, i);
-    if (!shard.contains(key)) {
-      results[i].skipped = true;
-      continue;
-    }
-    const CheckpointLog::Entry* cached =
-        log != nullptr ? log->find(name_, first_order + i) : nullptr;
-    if (cached != nullptr) {
-      util::require(cached->key == key &&
-                        serialize_identically(cached->params, points[i]),
-                    "resume: checkpoint entry for " + name_ + "[" +
-                        std::to_string(first_order + i) +
-                        "] does not match this run's job (the log belongs "
-                        "to a different workload)");
-      results[i].metrics = cached->metrics;
-      results[i].wall_ms = cached->wall_ms;
-      continue;
-    }
-    util::Rng rng(key);  // == point_rng(series, i): sweep()'s exact seeding
-    const auto start = std::chrono::steady_clock::now();
-    results[i].metrics = fn(points[i], rng);
-    results[i].wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (log != nullptr) {
-      log->append(name_, series, first_order + i, key, points[i],
-                  results[i]);
-    }
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!results[i].skipped) {
-      add_to_sink(series, points[i], results[i].metrics, results[i].wall_ms,
-                  first_order + i);
-    }
-  }
+  plan.jobs.push_back({0, 0, records.size(), plan.unit_keys[0]});
+  plan.run = [&](const Plan::Job&, util::Rng& rng, JobResult* out) {
+    std::vector<JobResult> computed = fn(rng);
+    util::require(computed.size() == records.size(),
+                  "unit: fn returned " + std::to_string(computed.size()) +
+                      " results for " + std::to_string(records.size()) +
+                      " records");
+    std::move(computed.begin(), computed.end(), out);
+  };
+  std::vector<JobResult> results(records.size());
+  execute(plan, results);
   return results;
-}
-
-std::uint64_t ExperimentContext::next_record_key(const std::string& series) {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  return util::derive_seed(series_seed, record_counts_[series]++);
-}
-
-void ExperimentContext::add_to_sink(const std::string& series,
-                                    const ParamPoint& params, Metrics metrics,
-                                    double wall_ms, std::size_t order) {
-  ParamPoint prefixed;
-  prefixed.set("series", series);
-  for (const auto& [name, value] : params.entries()) {
-    prefixed.set(name, value);
-  }
-  sink_.add_point(std::move(prefixed), std::move(metrics), wall_ms, order);
 }
 
 void ExperimentContext::record(const std::string& series, ParamPoint params,
                                Metrics metrics, double wall_ms) {
-  const std::uint64_t key = next_record_key(series);
-  const std::size_t order = next_order_++;
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // The value was computed inline (every worker has it); the lease
-    // protocol only decides which worker's document carries the point.
-    if (controls_->coordinator->commit_ready(key) ==
-        Coordinator::Claim::kAcquired) {
-      add_to_sink(series, params, std::move(metrics), wall_ms, order);
-    }
-    return;
-  }
-  if (controls_ == nullptr || controls_->shard.contains(key)) {
-    add_to_sink(series, params, std::move(metrics), wall_ms, order);
-  }
-}
-
-void ExperimentContext::record_owned(const std::string& series,
-                                     ParamPoint params, Metrics metrics,
-                                     double wall_ms) {
-  const std::uint64_t key = next_record_key(series);
-  const std::size_t order = next_order_++;
-  add_to_sink(series, params, std::move(metrics), wall_ms, order);
-  if (controls_ != nullptr && controls_->coordinator != nullptr) {
-    // Releases the lease owns_next_record() took for this point (without
-    // this, peers would see the point kBusy forever and never converge).
-    controls_->coordinator->complete(key);
-  }
-}
-
-void ExperimentContext::skip_record(const std::string& series) {
-  next_record_key(series);
-  ++next_order_;
-}
-
-bool ExperimentContext::owns_next_record(const std::string& series) const {
-  if (controls_ == nullptr) {
-    return true;
-  }
-  const auto it = record_counts_.find(series);
-  const std::uint64_t index = it == record_counts_.end() ? 0 : it->second;
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  const std::uint64_t key = util::derive_seed(series_seed, index);
-  if (controls_->coordinator != nullptr) {
-    // Leases the point: true means compute it and call record_owned()
-    // (which completes the lease); false means another worker owns it —
-    // call skip_record() as in the shard case. acquire() is idempotent, so
-    // asking twice before recording is safe.
-    return controls_->coordinator->acquire(key) ==
-           Coordinator::Claim::kAcquired;
-  }
-  if (!controls_->shard.active()) {
-    return true;
-  }
-  return controls_->shard.contains(key);
-}
-
-util::Rng ExperimentContext::series_rng(const std::string& series) const {
-  return util::Rng(util::derive_seed(base_seed_, fnv1a64(series)));
-}
-
-util::Rng ExperimentContext::point_rng(const std::string& series,
-                                       std::size_t index) const {
-  const std::uint64_t series_seed =
-      util::derive_seed(base_seed_, fnv1a64(series));
-  return util::Rng(util::derive_seed(series_seed, index));
+  Plan plan;
+  plan.unit_keys.push_back(next_record_key(series));
+  plan.records.push_back({&series, &params, 0});
+  std::vector<JobResult> results(1);
+  results[0].metrics = std::move(metrics);
+  results[0].wall_ms = wall_ms;
+  execute(plan, results);
 }
 
 namespace {
 
-void print_usage(std::ostream& os, const char* forced_experiment) {
+void print_usage(std::ostream& os) {
   os << "Usage: dqma_bench [options]\n\n"
-        "Options:\n";
-  if (forced_experiment == nullptr) {
-    os << "  --experiment <name|all>  experiment(s) to run (repeatable; "
-          "default all)\n"
-          "  --list                   list registered experiments and exit\n";
-  }
-  os << "  --json <path>            write structured results (schema v1); "
+        "Options:\n"
+        "  --experiment <name|all>  experiment(s) to run (repeatable; "
+        "default all)\n"
+        "  --list                   list registered experiments and exit\n"
+        "  --json <path>            write structured results (schema v1); "
         "'-' for stdout\n"
         "  --threads <N>            sweep threads (default: hardware "
         "concurrency)\n"
-        "  --smoke                  shrink heavy sweeps (same as "
-        "DQMA_BENCH_SMOKE=1)\n"
+        "  --smoke                  shrink heavy sweeps\n"
         "  --seed <N>               global base seed (default 0)\n"
         "  --timings                include nondeterministic wall_ms fields "
         "in JSON\n"
@@ -521,7 +377,7 @@ void print_usage(std::ostream& os, const char* forced_experiment) {
         "                           disjoint slice of the job space; "
         "--merge of all\n"
         "                           N shard JSONs == the unsharded document\n"
-        "  --resume <log.jsonl>     checkpoint log: completed points are "
+        "  --resume <log.jsonl>     checkpoint log: completed units are "
         "appended as\n"
         "                           they finish and skipped on the next run\n"
         "  --merge <a.json> <b.json> ...\n"
@@ -569,8 +425,8 @@ void print_usage(std::ostream& os, const char* forced_experiment) {
         "  --help                   this message\n";
 }
 
-bool parse_cli(int argc, const char* const* argv, bool allow_select,
-               CliOptions& options, std::string& error) {
+bool parse_cli(int argc, const char* const* argv, CliOptions& options,
+               std::string& error) {
   bool merge_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -581,13 +437,13 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
       }
       return argv[++i];
     };
-    if (arg == "--experiment" && allow_select) {
+    if (arg == "--experiment") {
       const char* value = next_value("--experiment");
       if (value == nullptr) return false;
       if (std::strcmp(value, "all") != 0) {
         options.experiments.emplace_back(value);
       }
-    } else if (arg == "--list" && allow_select) {
+    } else if (arg == "--list") {
       options.list_only = true;
     } else if (arg == "--json") {
       const char* value = next_value("--json");
@@ -596,8 +452,8 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
     } else if (arg == "--threads") {
       const char* value = next_value("--threads");
       if (value == nullptr) return false;
-      options.threads = std::atoi(value);
-      if (options.threads <= 0) {
+      if (!util::parse_number(value, options.threads) ||
+          options.threads <= 0) {
         error = "--threads requires a positive integer";
         return false;
       }
@@ -608,7 +464,10 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
     } else if (arg == "--seed") {
       const char* value = next_value("--seed");
       if (value == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 0);
+      if (!util::parse_number(value, options.seed)) {
+        error = "--seed requires a non-negative integer";
+        return false;
+      }
     } else if (arg == "--shard") {
       const char* value = next_value("--shard");
       if (value == nullptr) return false;
@@ -632,8 +491,8 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
     } else if (arg == "--lease-timeout") {
       const char* value = next_value("--lease-timeout");
       if (value == nullptr) return false;
-      options.lease_timeout_ms = std::atoi(value);
-      if (options.lease_timeout_ms <= 0) {
+      if (!util::parse_number(value, options.lease_timeout_ms) ||
+          options.lease_timeout_ms <= 0) {
         error = "--lease-timeout requires a positive integer (ms)";
         return false;
       }
@@ -648,10 +507,7 @@ bool parse_cli(int argc, const char* const* argv, bool allow_select,
     } else if (arg == "--tolerance") {
       const char* value = next_value("--tolerance");
       if (value == nullptr) return false;
-      const std::string_view text(value);
-      auto [end, ec] = std::from_chars(
-          text.data(), text.data() + text.size(), options.tolerance);
-      if (ec != std::errc() || end != text.data() + text.size() ||
+      if (!util::parse_number(value, options.tolerance) ||
           options.tolerance < 0.0) {
         error = "--tolerance requires a non-negative number";
         return false;
@@ -810,6 +666,33 @@ int run_merge(const CliOptions& options) {
   return 0;
 }
 
+/// One pass over the selected experiments into `sink`, ASCII tables on
+/// `out`; adds one row per experiment to `summary` when given.
+void run_experiments(const std::vector<const Experiment*>& selected,
+                     const CliOptions& options, ThreadPool& pool,
+                     const RunControls& controls, ResultSink& sink,
+                     std::ostream& out, util::Table* summary) {
+  for (const Experiment* experiment : selected) {
+    out << "==== experiment: " << experiment->name << " ====\n"
+        << experiment->description << "\n";
+    sink.begin_experiment(experiment->name, experiment->description);
+    const std::size_t points_before = sink.point_count();
+    const auto start = std::chrono::steady_clock::now();
+    ExperimentContext context(*experiment, pool, sink, out, options.smoke,
+                              options.seed, &controls);
+    experiment->run(context);
+    const double wall = elapsed_ms(start);
+    sink.end_experiment(wall);
+    if (summary != nullptr) {
+      summary->add_row(
+          {experiment->name,
+           util::Table::fmt(
+               static_cast<long long>(sink.point_count() - points_before)),
+           util::Table::fmt(static_cast<long long>(wall + 0.5))});
+    }
+  }
+}
+
 /// The elastic worker driver (--coordinate): loops execution passes until
 /// every work unit is committed by a live or finalized worker, writes this
 /// worker's partial document, then publishes the `.final` marker. Exit
@@ -857,15 +740,8 @@ int run_coordinated(const CliOptions& options,
     for (int pass = 0;; ++pass) {
       coordinator.begin_pass();
       ResultSink pass_sink;
-      for (const Experiment* experiment : selected) {
-        pass_sink.begin_experiment(experiment->name,
-                                   experiment->description);
-        const auto start = std::chrono::steady_clock::now();
-        ExperimentContext context(*experiment, pool, pass_sink, null_stream,
-                                  options.smoke, options.seed, &controls);
-        experiment->run(context);
-        pass_sink.end_experiment(elapsed_ms(start));
-      }
+      run_experiments(selected, options, pool, controls, pass_sink,
+                      null_stream, nullptr);
       if (coordinator.pass_converged()) {
         sink = std::move(pass_sink);
         break;
@@ -916,20 +792,16 @@ int run_coordinated(const CliOptions& options,
 
 }  // namespace
 
-int cli_main(int argc, const char* const* argv,
-             const char* forced_experiment) {
+int cli_main(int argc, const char* const* argv) {
   CliOptions options;
-  // Compatibility with the CTest bench-smoke harness environment.
-  options.smoke = std::getenv("DQMA_BENCH_SMOKE") != nullptr;
-
   std::string error;
-  if (!parse_cli(argc, argv, forced_experiment == nullptr, options, error)) {
+  if (!parse_cli(argc, argv, options, error)) {
     if (error == "help") {
-      print_usage(std::cout, forced_experiment);
+      print_usage(std::cout);
       return 0;
     }
     std::cerr << "dqma_bench: " << error << "\n";
-    print_usage(std::cerr, forced_experiment);
+    print_usage(std::cerr);
     return 2;
   }
   if (!validate_options(options, error)) {
@@ -959,10 +831,6 @@ int cli_main(int argc, const char* const* argv,
       std::cerr << "dqma_bench: " << e.what() << "\n";
       return 1;
     }
-  }
-
-  if (forced_experiment != nullptr) {
-    options.experiments = {forced_experiment};
   }
 
   if (options.list_only) {
@@ -1038,33 +906,12 @@ int cli_main(int argc, const char* const* argv,
   }
 
   util::Table summary({"experiment", "points", "wall (ms)"});
-  for (const Experiment* experiment : selected) {
-    if (!json_to_stdout) {
-      out << "==== experiment: " << experiment->name << " ====\n"
-          << experiment->description << "\n";
-    }
-    sink.begin_experiment(experiment->name, experiment->description);
-    const std::size_t points_before = sink.point_count();
-    const auto start = std::chrono::steady_clock::now();
-    if (json_to_stdout) {
-      // Suppress ASCII tables so stdout stays a valid JSON document.
-      std::ofstream null_stream;
-      null_stream.setstate(std::ios_base::badbit);
-      ExperimentContext context(*experiment, pool, sink, null_stream,
-                                options.smoke, options.seed, &controls);
-      experiment->run(context);
-    } else {
-      ExperimentContext context(*experiment, pool, sink, out, options.smoke,
-                                options.seed, &controls);
-      experiment->run(context);
-    }
-    const double wall = elapsed_ms(start);
-    sink.end_experiment(wall);
-    summary.add_row({experiment->name,
-                     util::Table::fmt(static_cast<long long>(
-                         sink.point_count() - points_before)),
-                     util::Table::fmt(static_cast<long long>(wall + 0.5))});
-  }
+  // With JSON on stdout, ASCII tables are suppressed so stdout stays a
+  // valid JSON document.
+  std::ofstream null_stream;
+  null_stream.setstate(std::ios_base::badbit);
+  run_experiments(selected, options, pool, controls, sink,
+                  json_to_stdout ? null_stream : out, &summary);
 
   if (!json_to_stdout) {
     out << "\n";

@@ -1,7 +1,6 @@
 // The experiment registry behind the unified `dqma_bench` driver: every
-// bench/ table harness registers itself here as a named experiment, and
-// both the driver and the per-experiment compatibility shims run them
-// through the same cli_main.
+// bench/ table harness registers itself here as a named experiment, and the
+// driver runs them through cli_main.
 //
 // Seed namespacing: every experiment gets base seed
 // derive_seed(global_seed, fnv1a64(name)), and every sweep within it
@@ -10,6 +9,15 @@
 // on which experiments are selected, how many threads run, or the order
 // sections execute — so `--experiment all` and `--experiment table2_eq`
 // agree on every recorded value.
+//
+// Work units: every recorded point belongs to exactly one work unit — a
+// 64-bit key, the records it emits and the seed it runs with. One private
+// executor runs every unit (sweep, serial_sweep, unit and record alike)
+// behind one ownership rule that decides whether this process runs,
+// records and commits it: a monolithic run owns every unit, `--shard i/N`
+// the units with key % N == i, and `--coordinate` the units it leases. A
+// unit found in the checkpoint log is never recomputed, and its records
+// are logged before the coordinator's done marker is written.
 #pragma once
 
 #include <cstdint>
@@ -31,51 +39,79 @@ class ExperimentContext;
 
 /// Shard/resume/coordination state shared by every experiment of one
 /// driver run; nullptr members (and a default ShardSpec) mean the classic
-/// monolithic run, whose behavior and bytes are unchanged. `coordinator`
-/// set means an elastic worker (--coordinate): work units are leased at
-/// run time instead of partitioned statically, and `checkpoint` points at
-/// the coordinator's own per-worker log. shard stays inactive — the two
-/// partitioning modes are mutually exclusive.
+/// monolithic run. `coordinator` set means an elastic worker
+/// (--coordinate): units are leased at run time instead of partitioned
+/// statically, and `checkpoint` points at the coordinator's own per-worker
+/// log. shard stays inactive — the two partitioning modes are exclusive.
 struct RunControls {
   ShardSpec shard;
   CheckpointLog* checkpoint = nullptr;
   Coordinator* coordinator = nullptr;
 };
 
-/// How a series partitions across shards (`--shard i/N`). Every mode
-/// preserves per-job seeding exactly; they differ only in which shard
-/// EXECUTES and which shard RECORDS each point.
+/// The derived point a kGroupBy reducer makes of one group.
+struct DerivedPoint {
+  ParamPoint params;
+  Metrics metrics;
+};
+
+/// Reduces one group of a kGroupBy sweep: its member points and their
+/// results, in point order.
+using GroupReducer = std::function<DerivedPoint(
+    const std::vector<ParamPoint>& points,
+    const std::vector<JobResult>& results)>;
+
+/// How a series maps onto work units. Every mode preserves per-job seeding
+/// exactly; they differ only in which process EXECUTES and which RECORDS
+/// each point.
 struct SweepPolicy {
   enum class Mode {
-    /// Each point is its own shard unit, keyed by its RNG seed
-    /// derive_seed(series_seed, index). Other shards skip the point
-    /// entirely; its JobResult comes back `skipped` with empty metrics,
-    /// so table-rendering loops must guard before reading. The default,
-    /// and the right choice for every expensive self-contained series.
+    /// Each point is its own unit, keyed by its RNG seed
+    /// derive_seed(series_seed, index). Processes that do not own the unit
+    /// skip it entirely; its JobResult comes back `skipped` with empty
+    /// metrics, so table-rendering loops must guard before reading. The
+    /// default, and the right choice for every expensive self-contained
+    /// series.
     kPartition,
-    /// Every shard executes all points but records only the ones it owns
+    /// Every process executes all points but records only the ones it owns
     /// (same per-point keys). For cheap closed-form series whose results
     /// feed cross-point post-processing in the experiment body (ratio
     /// columns, derived ctx.record points): the body sees complete
-    /// results in every shard, while each point still lands in exactly
-    /// one document.
+    /// results everywhere, while each point still lands in exactly one
+    /// document.
     kReplicate,
-    /// Points sharing a value of `group_param` form one all-or-nothing
-    /// shard unit (key = derive_seed(series_seed, fnv1a64(value))), so a
-    /// reduction over the group can run — and record_owned() its derived
-    /// point — in the one shard that has the whole group.
+    /// Points sharing a value of `group_param` form one all-or-nothing unit
+    /// (key = derive_seed(series_seed, fnv1a64(value))). With a reducer,
+    /// the process owning a group also records its derived point in
+    /// `derived_series`; derived points follow all of the sweep's points,
+    /// in order of each group's first point.
     kGroupBy,
   };
 
   Mode mode = Mode::kPartition;
   std::string group_param;
+  std::string derived_series;
+  GroupReducer reduce;
 
-  static SweepPolicy partition() { return {}; }
-  static SweepPolicy replicate() { return {Mode::kReplicate, {}}; }
-  static SweepPolicy group_by(std::string param) {
-    return {Mode::kGroupBy, std::move(param)};
+  static SweepPolicy replicate() { return {Mode::kReplicate, {}, {}, {}}; }
+  static SweepPolicy group_by(std::string param,
+                              std::string derived_series = {},
+                              GroupReducer reduce = nullptr) {
+    return {Mode::kGroupBy, std::move(param), std::move(derived_series),
+            std::move(reduce)};
   }
 };
+
+/// One record a multi-record unit emits: its series and parameters,
+/// declared before the unit runs.
+struct UnitRecord {
+  std::string series;
+  ParamPoint params;
+};
+
+/// Computes every record of a multi-record unit, in declaration order,
+/// each with its metrics and wall time.
+using UnitFn = std::function<std::vector<JobResult>(util::Rng&)>;
 
 /// A registered experiment: a stable name (used in CLI selection, JSON and
 /// seed derivation), a one-line description, and the body.
@@ -93,7 +129,7 @@ const std::vector<Experiment>& experiments();
 
 /// Everything an experiment body needs: the smoke switch, the shared
 /// thread pool, the output stream for ASCII tables, and recording into the
-/// sink (directly or via parallel sweeps).
+/// sink through work units.
 class ExperimentContext {
  public:
   ExperimentContext(const Experiment& experiment, ThreadPool& pool,
@@ -105,33 +141,20 @@ class ExperimentContext {
   ThreadPool& pool() { return pool_; }
   std::ostream& out() { return out_; }
   std::uint64_t base_seed() const { return base_seed_; }
-  /// True when this run executes one shard of the job space; bodies may
-  /// use it to skip shard-incomplete cosmetics (never to change any
-  /// recorded value).
-  bool sharded() const {
-    return controls_ != nullptr && controls_->shard.active();
-  }
-  /// True when this run is an elastic worker leasing units from a
-  /// coordinator directory; like sharded(), bodies may use it only for
-  /// shard-incomplete cosmetics, never to change a recorded value.
-  bool coordinated() const {
-    return controls_ != nullptr && controls_->coordinator != nullptr;
-  }
 
   /// smoke() ? smoke_variant : full — mirrors util::smoke_select but keyed
-  /// off the context (the driver's --smoke flag or DQMA_BENCH_SMOKE).
+  /// off the driver's --smoke flag.
   template <typename T>
   T smoke_select(T full, T smoke_variant) const {
     return smoke_ ? smoke_variant : full;
   }
 
   /// Runs fn over the points on the pool (deterministic per-job seeding
-  /// namespaced by `series`), records every point into the sink with the
-  /// series name prepended to its params, and returns the ordered results
-  /// for ASCII rendering. Under --shard, `policy` decides which points
-  /// this process executes and records (see SweepPolicy); under --resume,
-  /// points found in the checkpoint log are loaded instead of re-run, and
-  /// every newly completed in-shard point is appended to the log.
+  /// namespaced by `series`), records every owned point into the sink with
+  /// the series name prepended to its params, and returns the ordered
+  /// results for ASCII rendering. `policy` decides how points form units
+  /// (see SweepPolicy). With a group reducer, the returned vector carries
+  /// one more entry per group after the points: its derived point.
   std::vector<JobResult> sweep(const std::string& series,
                                const std::vector<ParamPoint>& points,
                                const JobFn& fn,
@@ -143,63 +166,43 @@ class ExperimentContext {
   /// sweep()'s counterpart for series with a few huge points: runs fn over
   /// the points SERIALLY on the calling thread — outside the sweep pool,
   /// so the threaded kernels inside fn fan out across the kernel pool
-  /// instead of being serialized by the nesting contract. Seeding, wall
-  /// timing, recording and result order match sweep() exactly; a series
-  /// can switch between the two without reshuffling any recorded value.
+  /// instead of being serialized by the nesting contract. Units, seeding,
+  /// wall timing, recording and result order match sweep() exactly.
   std::vector<JobResult> serial_sweep(const std::string& series,
                                       const std::vector<ParamPoint>& points,
                                       const JobFn& fn);
 
-  /// Records one serially-computed point (wall time optional). Under
-  /// --shard the point is assigned to a shard by its own key
-  /// derive_seed(series_seed, per-series record index) — correct for
-  /// values every shard computes anyway (inline closed forms, replicated
-  /// post-processing): each lands in exactly one document.
+  /// One multi-record unit, run serially on the calling thread: fn
+  /// computes all `records` together (say, a timed point and the stats
+  /// derived from its timing). The unit is keyed and seeded by its first
+  /// record, derive_seed(series_seed, index) with the index record() would
+  /// give that record; every record takes the index and canonical order
+  /// record() would give it. Returns one result per record, all `skipped`
+  /// when another process owns the unit.
+  std::vector<JobResult> unit(const std::vector<UnitRecord>& records,
+                              const UnitFn& fn);
+
+  /// Records one point computed inline (wall time optional); every process
+  /// computes it, and the one owning its key
+  /// derive_seed(series_seed, per-series record index) records it. Correct
+  /// for closed forms and replicated post-processing only; anything a
+  /// process may skip computing belongs in a unit.
   void record(const std::string& series, ParamPoint params, Metrics metrics,
               double wall_ms = 0.0);
 
-  /// record() for a derived point only THIS shard can compute (a
-  /// reduction over a kGroupBy series it owns): records unconditionally.
-  /// Every other shard must call skip_record() for the same series at the
-  /// same place so canonical point numbering stays aligned across shards.
-  void record_owned(const std::string& series, ParamPoint params,
-                    Metrics metrics, double wall_ms = 0.0);
-
-  /// Declares a point that record_owned() publishes in some other shard:
-  /// advances the canonical counters without recording anything.
-  void skip_record(const std::string& series);
-
-  /// True when this shard owns the NEXT record() point of `series` — lets
-  /// hand-rolled serial loops skip COMPUTING points another shard records
-  /// (call skip_record() for those to keep the numbering aligned).
-  bool owns_next_record(const std::string& series) const;
-
-  /// Rng for ad-hoc serial draws, seeded from the series namespace; stable
-  /// across runs and independent of other series.
-  util::Rng series_rng(const std::string& series) const;
-
-  /// Rng of point `index` of a series, seeded exactly like sweep() seeds
-  /// job `index` — a series can switch between pooled sweep jobs and a
-  /// serial kernel-parallel loop without reshuffling any recorded value.
-  util::Rng point_rng(const std::string& series, std::size_t index) const;
-
  private:
-  /// The canonical point key of record()-style points; advances the
-  /// per-series record index (shared with record_owned/skip_record so the
-  /// counters agree across shards).
+  struct Plan;
+  /// The one work-unit executor behind sweep, serial_sweep, unit and
+  /// record. `results` holds one slot per plan record, prefilled for
+  /// records whose values are already at hand.
+  void execute(const Plan& plan, std::vector<JobResult>& results);
+  std::vector<JobResult> run_series(const std::string& series,
+                                    const std::vector<ParamPoint>& points,
+                                    const JobFn& fn,
+                                    const SweepPolicy& policy, bool serial);
+  /// The record()-style key of the next record of `series`; advances the
+  /// per-series record index.
   std::uint64_t next_record_key(const std::string& series);
-  /// sweep() under a coordinator: ownership comes from run-time leases
-  /// instead of the static shard partition. Point/group keys and seeding
-  /// are identical to the shard path, so any worker that wins a lease
-  /// computes exactly the bytes the monolithic run would have.
-  std::vector<JobResult> coordinated_sweep(
-      const std::string& series, const std::vector<ParamPoint>& points,
-      const JobFn& fn, const SweepPolicy& policy,
-      const std::vector<std::uint64_t>& keys, std::uint64_t series_seed,
-      std::size_t first_order);
-  /// Prefixes the series name and records into the sink at `order`.
-  void add_to_sink(const std::string& series, const ParamPoint& params,
-                   Metrics metrics, double wall_ms, std::size_t order);
 
   std::string name_;
   ThreadPool& pool_;
@@ -210,10 +213,10 @@ class ExperimentContext {
   const RunControls* controls_;
   /// Position the NEXT recorded point would take in the canonical
   /// (unsharded) run of this experiment. Advances for every declared
-  /// point — executed, resumed, or owned by another shard — so orders
-  /// agree across all shards of a run.
+  /// point — executed, resumed, or owned elsewhere — so orders agree
+  /// across all processes of a run.
   std::size_t next_order_ = 0;
-  /// Per-series record() indices (key derivation for ad-hoc points).
+  /// Per-series record indices (keys of record() and unit() records).
   std::map<std::string, std::uint64_t> record_counts_;
 };
 
@@ -238,12 +241,9 @@ struct CliOptions {
   int lease_timeout_ms = 60000;  ///< --lease-timeout
 };
 
-/// Shared driver main: parses argv, runs the selected experiments, writes
-/// JSON when requested, prints a per-experiment wall-time summary. When
-/// `forced_experiment` is non-null the binary is a compatibility shim: it
-/// runs exactly that experiment and accepts the same flags except
-/// --experiment. Returns a process exit code.
-int cli_main(int argc, const char* const* argv,
-             const char* forced_experiment = nullptr);
+/// Driver main: parses argv, runs the selected experiments, writes JSON
+/// when requested, prints a per-experiment wall-time summary. Returns a
+/// process exit code (2 for a bad command line).
+int cli_main(int argc, const char* const* argv);
 
 }  // namespace dqma::sweep

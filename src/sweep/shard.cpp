@@ -1,6 +1,5 @@
 #include "sweep/shard.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +17,7 @@
 #include "sweep/trajectory.hpp"
 #include "util/fault.hpp"
 #include "util/json_reader.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace dqma::sweep {
@@ -39,13 +39,6 @@ bool fsync_requested() {
          std::strcmp(value, "false") != 0;
 }
 
-bool parse_int(std::string_view text, int& out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  auto [end, ec] = std::from_chars(first, last, out);
-  return ec == std::errc() && end == last;
-}
-
 }  // namespace
 
 std::string ShardSpec::label() const {
@@ -56,9 +49,9 @@ ShardSpec ShardSpec::parse(const std::string& text) {
   const std::size_t slash = text.find('/');
   ShardSpec spec;
   util::require(slash != std::string::npos &&
-                    parse_int(std::string_view(text).substr(0, slash),
+                    util::parse_number(std::string_view(text).substr(0, slash),
                               spec.index) &&
-                    parse_int(std::string_view(text).substr(slash + 1),
+                    util::parse_number(std::string_view(text).substr(slash + 1),
                               spec.count) &&
                     spec.count >= 1 && spec.index >= 0 &&
                     spec.index < spec.count,

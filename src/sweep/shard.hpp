@@ -2,14 +2,15 @@
 // `dqma_bench --shard i/N` and the append-only JSONL checkpoint log behind
 // `--resume <log>`.
 //
-// Partition contract: every (experiment, series, point) job already owns a
-// namespaced 64-bit key — derive_seed(series_seed, index), the exact seed
-// (or would-be seed) of its private RNG stream. A shard selects the jobs
-// with key % N == i. Because the key depends only on (global seed,
-// experiment name, series name, index), the partition is deterministic and
-// seed-stable, the N shards are disjoint by construction, and their union
-// is provably the full job set — while every job's RNG stream is untouched,
-// so shard runs reproduce exactly the values the unsharded run records.
+// Partition contract: every work unit (sweep/registry.hpp) owns a
+// namespaced 64-bit key — for a point, derive_seed(series_seed, index),
+// the exact seed of its private RNG stream. A shard selects the units with
+// key % N == i. Because the key depends only on (global seed, experiment
+// name, series name, index or group value), the partition is deterministic
+// and seed-stable, the N shards are disjoint by construction, and their
+// union is provably the full unit set — while every job's RNG stream is
+// untouched, so shard runs reproduce exactly the values the unsharded run
+// records.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +49,10 @@ struct ShardSpec {
 };
 
 /// The append-only JSONL result log: one header line pinning the run
-/// configuration, then one compact JSON line per completed point. Opening
-/// an existing log indexes its entries so the run skips finished points
-/// (`--resume`); every newly completed point is appended, flushed, and —
+/// configuration, then one compact JSON line per completed record, keyed by
+/// its unit. Opening an existing log indexes its entries so the run skips
+/// finished units (`--resume`); every newly completed record is appended,
+/// flushed, and —
 /// unless DQMA_CHECKPOINT_FSYNC=0 — fsync()ed, so even a host crash (not
 /// just a killed process) loses at most the point in flight. Only
 /// newline-terminated lines count as committed: a torn final line (the
@@ -98,7 +100,6 @@ class CheckpointLog {
 
   /// Committed entries (loaded at open plus appended since).
   std::size_t loaded_entries() const;
-  const std::string& path() const { return path_; }
   /// True when appends are fsync()ed (the default; DQMA_CHECKPOINT_FSYNC=0
   /// disables). False also on platforms without fsync.
   bool syncing() const { return sync_fd_ >= 0; }

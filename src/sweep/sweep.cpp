@@ -150,41 +150,15 @@ std::vector<JobResult> run_sweep(ThreadPool& pool,
                                  const std::vector<ParamPoint>& points,
                                  std::uint64_t base_seed, const JobFn& fn) {
   std::vector<JobResult> results(points.size());
-  std::vector<std::size_t> all(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    all[i] = i;
-  }
-  run_sweep_selected(pool, points, base_seed, fn, all, results);
-  return results;
-}
-
-void run_sweep_selected(ThreadPool& pool,
-                        const std::vector<ParamPoint>& points,
-                        std::uint64_t base_seed, const JobFn& fn,
-                        const std::vector<std::size_t>& selected,
-                        std::vector<JobResult>& results,
-                        const JobCompleteFn& on_complete,
-                        const JobAdmitFn& admit) {
-  util::require(results.size() == points.size(),
-                "run_sweep_selected: results/points size mismatch");
-  pool.run_indexed(selected.size(), [&](std::size_t slot) {
-    const std::size_t i = selected[slot];
-    if (admit && !admit(i)) {
-      results[i].skipped = true;
-      return;
-    }
+  pool.run_indexed(points.size(), [&](std::size_t i) {
     util::Rng rng(util::derive_seed(base_seed, i));
     const auto start = std::chrono::steady_clock::now();
     results[i].metrics = fn(points[i], rng);
-    results[i].wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    results[i].skipped = false;
-    if (on_complete) {
-      on_complete(i, results[i]);
-    }
+    results[i].wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   });
+  return results;
 }
 
 bool serialize_identically(const NamedValues& a, const NamedValues& b) {

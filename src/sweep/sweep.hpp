@@ -91,8 +91,8 @@ class ParamGrid {
 
 /// Result of one sweep job. wall_ms is the only nondeterministic field and
 /// is excluded from JSON unless timings are explicitly requested. skipped
-/// marks a job another shard owns (--shard): its metrics are empty and
-/// table-rendering loops must not read them.
+/// marks a job whose unit another process owns (--shard, --coordinate): its
+/// metrics are empty and table-rendering loops must not read them.
 struct JobResult {
   Metrics metrics;
   double wall_ms = 0.0;
@@ -107,31 +107,6 @@ using JobFn = std::function<Metrics(const ParamPoint&, util::Rng&)>;
 std::vector<JobResult> run_sweep(ThreadPool& pool,
                                  const std::vector<ParamPoint>& points,
                                  std::uint64_t base_seed, const JobFn& fn);
-
-/// Called as each job completes (from whichever pool thread ran it, under
-/// no lock — the callee synchronizes). The checkpoint log hangs off this.
-using JobCompleteFn = std::function<void(std::size_t, const JobResult&)>;
-
-/// Asked (on the pool thread, just before job i would execute) whether to
-/// run it. Returning false marks results[i] skipped and suppresses
-/// on_complete — the hook the elastic coordinator uses to lease points at
-/// the last moment, so workers steal work point by point. Exceptions
-/// propagate like job exceptions. Seeding is untouched either way.
-using JobAdmitFn = std::function<bool(std::size_t)>;
-
-/// run_sweep restricted to the jobs listed in `selected` (ascending point
-/// indices): job i keeps its full-sweep seed derive_seed(base_seed, i) and
-/// writes results[i], so executing a subset — a shard's slice, or the
-/// points a resume log is missing — reproduces exactly the values the full
-/// sweep would have produced for those slots. Slots not selected are left
-/// untouched (the caller pre-fills cached metrics or marks them skipped).
-void run_sweep_selected(ThreadPool& pool,
-                        const std::vector<ParamPoint>& points,
-                        std::uint64_t base_seed, const JobFn& fn,
-                        const std::vector<std::size_t>& selected,
-                        std::vector<JobResult>& results,
-                        const JobCompleteFn& on_complete = nullptr,
-                        const JobAdmitFn& admit = nullptr);
 
 /// True when the two value sets serialize identically through the JSON
 /// writer — the equivalence a JSON round trip preserves. Value equality is

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,12 +30,15 @@
 #include "sweep/registry.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
+#include "util/json_reader.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using dqma::sweep::Coordinator;
+using dqma::sweep::DerivedPoint;
+using dqma::sweep::JobResult;
 using dqma::sweep::Metrics;
 using dqma::sweep::ParamGrid;
 using dqma::sweep::ParamPoint;
@@ -43,9 +47,9 @@ using dqma::sweep::WorkerEvicted;
 using dqma::util::Rng;
 using Claim = Coordinator::Claim;
 
-/// Small registry covering every recording mode the coordinator must
-/// partition: partitioned/replicated/grouped sweeps, serial_sweep, ad-hoc
-/// records and owns_next_record/record_owned loops.
+/// Small registry covering every work-unit shape the coordinator must
+/// partition: partitioned/replicated/grouped sweeps with a reducer,
+/// serial_sweep, multi-record units and ad-hoc records.
 void register_fake_experiments() {
   static const bool once = [] {
     dqma::sweep::register_experiment(
@@ -85,19 +89,28 @@ void register_fake_experiments() {
                          base));
            }
 
-           for (int i = 0; i < 4; ++i) {
-             if (!ctx.owns_next_record("inline")) {
-               ctx.skip_record("inline");
-               continue;
-             }
-             Rng rng = ctx.point_rng("inline", static_cast<std::size_t>(i));
-             ctx.record_owned("inline", ParamPoint().set("i", i),
-                              Metrics().set("draw", rng.next_double()));
+           for (int pair = 0; pair < 2; ++pair) {
+             ctx.unit({{"inline", ParamPoint().set("i", 2 * pair)},
+                       {"inline", ParamPoint().set("i", 2 * pair + 1)},
+                       {"inline_stat", ParamPoint().set("pair", pair)}},
+                      [](Rng& rng) {
+                        std::vector<JobResult> out(3);
+                        for (std::size_t k = 0; k < 2; ++k) {
+                          Rng copy = rng;
+                          out[k].metrics.set("draw",
+                                             copy.next_double() +
+                                                 static_cast<double>(k));
+                        }
+                        out[2].metrics.set(
+                            "sum", out[0].metrics.get_double("draw") +
+                                       out[1].metrics.get_double("draw"));
+                        return out;
+                      });
            }
          }});
 
     dqma::sweep::register_experiment(
-        {"elastic_beta", "grouped series + reduce, serial_sweep",
+        {"elastic_beta", "grouped series + reducer, serial_sweep",
          [](dqma::sweep::ExperimentContext& ctx) {
            std::vector<ParamPoint> points;
            for (int cfg = 0; cfg < 3; ++cfg) {
@@ -106,27 +119,25 @@ void register_fake_experiments() {
                    ParamPoint().set("cfg", cfg).set("chunk", chunk));
              }
            }
-           const auto results = ctx.sweep(
+           ctx.sweep(
                "chunks", points,
                [](const ParamPoint& p, Rng& rng) {
                  return Metrics().set(
                      "mean", 0.1 * static_cast<double>(p.get_int("cfg")) +
                                  0.01 * rng.next_double());
                },
-               SweepPolicy::group_by("cfg"));
-           for (int cfg = 0; cfg < 3; ++cfg) {
-             const std::size_t base = static_cast<std::size_t>(3 * cfg);
-             if (results[base].skipped) {
-               ctx.skip_record("combined");
-               continue;
-             }
-             double sum = 0.0;
-             for (std::size_t c = 0; c < 3; ++c) {
-               sum += results[base + c].metrics.get_double("mean");
-             }
-             ctx.record_owned("combined", ParamPoint().set("cfg", cfg),
-                              Metrics().set("mean", sum / 3.0));
-           }
+               SweepPolicy::group_by(
+                   "cfg", "combined",
+                   [](const std::vector<ParamPoint>& group,
+                      const std::vector<JobResult>& group_results) {
+                     double sum = 0.0;
+                     for (const JobResult& result : group_results) {
+                       sum += result.metrics.get_double("mean");
+                     }
+                     return DerivedPoint{
+                         ParamPoint().set("cfg", group[0].get_int("cfg")),
+                         Metrics().set("mean", sum / 3.0)};
+                   }));
 
            std::vector<ParamPoint> serial_points;
            serial_points.push_back(ParamPoint().set("d", 4));
@@ -420,6 +431,55 @@ TEST(CoordinatorEndToEndTest, SequentialWorkersMergeByteIdentical) {
 
   // A worker's partial document is not comparable before merging.
   EXPECT_EQ(run_cli({"--merge", merged, "--compare", w0}), 1);
+}
+
+/// The key record() gives point `index` of `series` at global seed 0.
+std::uint64_t inline_record_key(const std::string& experiment,
+                                const std::string& series,
+                                std::uint64_t index) {
+  using dqma::sweep::fnv1a64;
+  using dqma::util::derive_seed;
+  return derive_seed(
+      derive_seed(derive_seed(0, fnv1a64(experiment)), fnv1a64(series)),
+      index);
+}
+
+TEST(CoordinatorEndToEndTest, DoneMarkersFollowLogLines) {
+  // Crash ordering: a unit's records are logged before its done marker.
+  // Only record() points, computed inline by every worker, commit without
+  // a log line.
+  const std::string dir = fresh_dir("coord_markers");
+  ASSERT_EQ(run_cli({"--smoke", "--coordinate", dir, "--worker", "w0",
+                     "--json", temp_path("coord_markers_w0.json")}),
+            0);
+  std::set<std::uint64_t> logged;
+  {
+    std::istringstream log(read_file(dir + "/workers/w0.jsonl"));
+    std::string line;
+    std::getline(log, line);  // header
+    while (std::getline(log, line)) {
+      logged.insert(dqma::util::json::parse(line).at("key").as_uint());
+    }
+  }
+  std::set<std::uint64_t> inline_keys;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    inline_keys.insert(inline_record_key("elastic_alpha", "cheap_ratio", i));
+  }
+  std::size_t markers = 0;
+  for (const auto& entry : fs::directory_iterator(dir + "/done")) {
+    ++markers;
+    const std::uint64_t key =
+        dqma::util::json::parse(read_file(entry.path().string()))
+            .at("key")
+            .as_uint();
+    if (inline_keys.count(key) == 0) {
+      EXPECT_EQ(logged.count(key), 1u)
+          << "done marker " << entry.path() << " has no log line";
+    }
+  }
+  // 8 grid + 3 cheap + 2 multi-record + 3 grouped + 2 serial units, plus
+  // the 3 inline records.
+  EXPECT_EQ(markers, 21u);
 }
 
 TEST(CoordinatorEndToEndTest, ThreeConcurrentWorkersMergeByteIdentical) {

@@ -1,10 +1,13 @@
 // The dqma_serve subsystem (src/serve/): request parsing and response
 // framing, the single-flight shape cache and its deterministic counters,
 // handler byte-determinism across cache temperature, and the server
-// engine's ordering, backpressure, and drain guarantees.
+// engine's ordering, backpressure, and drain guarantees, and the
+// dqma_serve command line's strict numeric flags.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
 #include <set>
 #include <string>
@@ -336,6 +339,21 @@ TEST(ServerTest, ShutdownDrainsAcceptedRequestsAndRejectsNewOnes) {
                               }));
   EXPECT_NE(rejected.find("shutting down"), std::string::npos);
   server.reset();  // double-shutdown via the destructor must be safe
+}
+
+TEST(ServeCliTest, RejectsMalformedNumericFlags) {
+  const auto exit_code = [](const std::string& flags) {
+    const std::string command = std::string(DQMA_SERVE_BINARY) + " " + flags +
+                                " < /dev/null > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  for (const char* bad :
+       {"--threads abc", "--threads 4x", "--threads -1", "--max-pending 0",
+        "--max-pending 10k", "--max-pending -5", "--max-pending ''"}) {
+    EXPECT_EQ(exit_code(bad), 2) << bad;
+  }
+  EXPECT_EQ(exit_code("--threads 2 --max-pending 8 --list"), 0);
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // from complete and truncated checkpoint logs, and the baseline-comparison
 // gate's tolerance policy and exit codes.
 //
-// The end-to-end tests register three small fake experiments covering
-// every recording mode (partitioned/replicated/grouped sweeps,
-// serial_sweep, ad-hoc and owned records) and drive them through cli_main
-// exactly as CI drives the real registry.
+// The end-to-end tests register two small fake experiments covering every
+// work-unit shape (partitioned/replicated/grouped sweeps with a reducer,
+// serial_sweep, multi-record units and ad-hoc records) and drive them
+// through cli_main exactly as CI drives the real registry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +33,9 @@
 namespace {
 
 using dqma::sweep::CompareOptions;
+using dqma::sweep::DerivedPoint;
 using dqma::sweep::ExperimentRecord;
+using dqma::sweep::JobResult;
 using dqma::sweep::Metrics;
 using dqma::sweep::ParamGrid;
 using dqma::sweep::ParamPoint;
@@ -43,12 +45,23 @@ using dqma::sweep::SweepPolicy;
 using dqma::sweep::Trajectory;
 using dqma::util::Rng;
 
-std::atomic<int> g_grid_jobs{0};
+// Calls of each unit shape's function, across all runs in this process.
+std::atomic<int> g_grid_jobs{0};    // pooled sweep jobs
+std::atomic<int> g_unit_calls{0};   // multi-record unit functions
+std::atomic<int> g_group_jobs{0};   // grouped sweep jobs
+std::atomic<int> g_serial_jobs{0};  // serial_sweep jobs
+
+void reset_counters() {
+  for (std::atomic<int>* counter :
+       {&g_grid_jobs, &g_unit_calls, &g_group_jobs, &g_serial_jobs}) {
+    counter->store(0);
+  }
+}
 
 void register_fake_experiments() {
   static const bool once = [] {
     dqma::sweep::register_experiment(
-        {"fake_alpha", "partitioned + replicated series",
+        {"fake_alpha", "partitioned + replicated series, multi-record units",
          [](dqma::sweep::ExperimentContext& ctx) {
            // Partitioned "expensive" series: RNG-dependent metrics prove
            // seed stability across shard/resume paths.
@@ -69,7 +82,7 @@ void register_fake_experiments() {
              ctx.out() << "grid " << i << "\n";
            }
 
-           // Replicated cheap series + derived records reading across
+           // Replicated cheap series + ad-hoc records reading across
            // points (the ratio-to-first idiom the real benches use).
            ParamGrid cheap;
            cheap.axis("n", std::vector<int>{8, 16, 32});
@@ -93,22 +106,36 @@ void register_fake_experiments() {
                          base));
            }
 
-           // Hand-rolled serial loop sharded via owns_next_record.
-           for (int i = 0; i < 4; ++i) {
-             if (!ctx.owns_next_record("inline")) {
-               ctx.skip_record("inline");
-               continue;
+           // Multi-record units: a pair of points drawing from copies of
+           // the unit's stream, plus a companion in another series.
+           for (int pair = 0; pair < 2; ++pair) {
+             const auto unit_results = ctx.unit(
+                 {{"inline", ParamPoint().set("i", 2 * pair)},
+                  {"inline", ParamPoint().set("i", 2 * pair + 1)},
+                  {"inline_stat", ParamPoint().set("pair", pair)}},
+                 [](Rng& rng) {
+                   g_unit_calls.fetch_add(1, std::memory_order_relaxed);
+                   std::vector<JobResult> out(3);
+                   for (std::size_t k = 0; k < 2; ++k) {
+                     Rng copy = rng;
+                     out[k].metrics.set(
+                         "draw", copy.next_double() + static_cast<double>(k));
+                   }
+                   out[2].metrics.set("sum",
+                                      out[0].metrics.get_double("draw") +
+                                          out[1].metrics.get_double("draw"));
+                   return out;
+                 });
+             if (!unit_results[0].skipped) {
+               ctx.out() << "inline pair " << pair << "\n";
              }
-             Rng rng = ctx.point_rng("inline", static_cast<std::size_t>(i));
-             ctx.record("inline", ParamPoint().set("i", i),
-                        Metrics().set("draw", rng.next_double()));
            }
          }});
 
     dqma::sweep::register_experiment(
-        {"fake_beta", "grouped series + reduce, serial_sweep",
+        {"fake_beta", "grouped series + reducer, serial_sweep",
          [](dqma::sweep::ExperimentContext& ctx) {
-           // Grouped series: 2 configs x 3 chunks, recombined per config.
+           // Grouped series: 2 configs x 3 chunks, reduced per config.
            std::vector<ParamPoint> points;
            for (int cfg = 0; cfg < 2; ++cfg) {
              for (int chunk = 0; chunk < 3; ++chunk) {
@@ -119,24 +146,24 @@ void register_fake_experiments() {
            const auto results = ctx.sweep(
                "chunks", points,
                [](const ParamPoint& p, Rng& rng) {
+                 g_group_jobs.fetch_add(1, std::memory_order_relaxed);
                  return Metrics().set(
                      "mean", 0.1 * static_cast<double>(p.get_int("cfg")) +
                                  0.01 * rng.next_double());
                },
-               SweepPolicy::group_by("cfg"));
-           for (int cfg = 0; cfg < 2; ++cfg) {
-             const std::size_t base = static_cast<std::size_t>(3 * cfg);
-             if (results[base].skipped) {
-               ctx.skip_record("combined");
-               continue;
-             }
-             double sum = 0.0;
-             for (std::size_t c = 0; c < 3; ++c) {
-               sum += results[base + c].metrics.get_double("mean");
-             }
-             ctx.record_owned("combined", ParamPoint().set("cfg", cfg),
-                              Metrics().set("mean", sum / 3.0));
-           }
+               SweepPolicy::group_by(
+                   "cfg", "combined",
+                   [](const std::vector<ParamPoint>& group,
+                      const std::vector<JobResult>& group_results) {
+                     double sum = 0.0;
+                     for (const JobResult& result : group_results) {
+                       sum += result.metrics.get_double("mean");
+                     }
+                     return DerivedPoint{
+                         ParamPoint().set("cfg", group[0].get_int("cfg")),
+                         Metrics().set("mean", sum / 3.0)};
+                   }));
+           EXPECT_EQ(results.size(), points.size() + 2);
 
            // serial_sweep: the heavy-point path.
            std::vector<ParamPoint> serial_points;
@@ -144,6 +171,8 @@ void register_fake_experiments() {
            serial_points.push_back(ParamPoint().set("d", 6));
            ctx.serial_sweep("serial", serial_points,
                             [](const ParamPoint& p, Rng& rng) {
+                              g_serial_jobs.fetch_add(
+                                  1, std::memory_order_relaxed);
                               return Metrics().set(
                                   "v", p.get_int("d") + rng.next_double());
                             });
@@ -210,7 +239,7 @@ TEST(ShardEndToEndTest, ShardsAreDisjointAndMergeByteIdentical) {
   // Shard runs execute a strict subset of the partitioned jobs, and each
   // partitioned job runs in exactly one shard.
   std::vector<std::string> shard_files;
-  g_grid_jobs.store(0);
+  reset_counters();
   for (int i = 0; i < 3; ++i) {
     const std::string path =
         temp_path("e2e_shard" + std::to_string(i) + ".json");
@@ -219,8 +248,12 @@ TEST(ShardEndToEndTest, ShardsAreDisjointAndMergeByteIdentical) {
                        std::to_string(i) + "/3", "--json", path}),
               0);
   }
-  EXPECT_EQ(g_grid_jobs.load(), 6)
-      << "each partitioned job must execute in exactly one of the shards";
+  // Each partitioned job, grouped job, serial job and multi-record unit
+  // executes in exactly one of the shards.
+  EXPECT_EQ(g_grid_jobs.load(), 6);
+  EXPECT_EQ(g_unit_calls.load(), 2);
+  EXPECT_EQ(g_group_jobs.load(), 6);
+  EXPECT_EQ(g_serial_jobs.load(), 2);
 
   // Orders recorded across shards are disjoint per experiment.
   std::set<std::pair<std::string, std::size_t>> seen;
@@ -304,13 +337,17 @@ TEST(ShardEndToEndTest, ResumeReproducesBytesAndSkipsFinishedPoints) {
             0);
   EXPECT_EQ(read_file(again), read_file(full));
 
-  // Resuming from the complete log re-executes no sweep job at all.
-  g_grid_jobs.store(0);
+  // Resuming from the complete log calls no unit function of any shape:
+  // pooled, multi-record, grouped or serial.
+  reset_counters();
   const std::string third = temp_path("resume_third.json");
   ASSERT_EQ(
       run_cli({"--threads", "2", "--resume", log, "--json", third}), 0);
   EXPECT_EQ(read_file(third), read_file(full));
   EXPECT_EQ(g_grid_jobs.load(), 0);
+  EXPECT_EQ(g_unit_calls.load(), 0);
+  EXPECT_EQ(g_group_jobs.load(), 0);
+  EXPECT_EQ(g_serial_jobs.load(), 0);
 
   // A log from a different configuration is refused.
   EXPECT_EQ(run_cli({"--threads", "2", "--seed", "9", "--resume", log}), 1);
@@ -368,7 +405,7 @@ TEST(ShardEndToEndTest, CompareGateDetectsPerturbations) {
 }
 
 TEST(ShardEndToEndTest, FailsFastOnBadOutputPath) {
-  g_grid_jobs.store(0);
+  reset_counters();
   EXPECT_EQ(run_cli({"--json", "/nonexistent_dir_for_sure/out.json"}), 2);
   EXPECT_EQ(run_cli({"--resume", "/nonexistent_dir_for_sure/log.jsonl"}), 2);
   EXPECT_EQ(run_cli({"--compare", "/nonexistent_dir_for_sure/base.json"}),
@@ -376,6 +413,19 @@ TEST(ShardEndToEndTest, FailsFastOnBadOutputPath) {
   EXPECT_EQ(run_cli({"--shard", "5/4"}), 2);
   EXPECT_EQ(run_cli({"--merge", "--json", temp_path("never.json")}), 2);
   EXPECT_EQ(run_cli({"--shard", "0/2", "--compare", "whatever.json"}), 2);
+  // Numeric flags parse strictly: the whole value must be one number.
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{
+           {"--seed", "abc"},
+           {"--seed", "7x"},
+           {"--seed", "-1"},
+           {"--seed", ""},
+           {"--threads", "2x"},
+           {"--threads", "0"},
+           {"--lease-timeout", "5s"},
+           {"--tolerance", "1e-9x"}}) {
+    EXPECT_EQ(run_cli(bad), 2) << bad[0] << " " << bad[1];
+  }
   EXPECT_EQ(g_grid_jobs.load(), 0)
       << "validation failures must not start any experiment work";
 }
