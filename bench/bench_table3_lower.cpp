@@ -333,7 +333,8 @@ void run(sweep::ExperimentContext& ctx) {
         "algorithm11_cuts", points, [](const sweep::ParamPoint& p, Rng& rng) {
           const CVec a0 = CVec::basis(2, 0);
           const CVec b0 = CVec::basis(2, 1);
-          const ExactEqPathAnalyzer analyzer(a0, b0, 4);
+          const ExactEqPathAnalyzer analyzer(a0, b0, 4,
+                                             ExactEqPathAnalyzer::Mode::kDense);
           const protocol::QmaStarInstance star(
               analyzer, static_cast<int>(p.get_int("cut")), 5);
           return sweep::Metrics()

@@ -66,6 +66,15 @@ Coordinator::Options sim_options(const SimDir& dir, const std::string& worker,
   return options;
 }
 
+/// Metric name of the backoff delay of `round`: "d0", "d1", ... Appended
+/// rather than built with operator+(const char*, std::string&&), whose
+/// inlined insert trips GCC 12's -Wrestrict false positive at -O2.
+std::string delay_metric(int round) {
+  std::string name = "d";
+  name += std::to_string(round);
+  return name;
+}
+
 void run(sweep::ExperimentContext& ctx) {
   std::ostream& out = ctx.out();
 
@@ -162,7 +171,7 @@ void run(sweep::ExperimentContext& ctx) {
           for (int round = 0; round < 5; ++round) {
             const long long delay = worker.backoff_delay(round).count();
             capped = capped && delay <= cap;
-            metrics.set("d" + std::to_string(round), delay);
+            metrics.set(delay_metric(round), delay);
           }
           return metrics.set("within_cap", capped);
         });
@@ -173,7 +182,7 @@ void run(sweep::ExperimentContext& ctx) {
           std::to_string(points[i].get_int("timeout_ms"))};
       for (int round = 0; round < 5; ++round) {
         row.push_back(std::to_string(
-            results[i].metrics.get_int("d" + std::to_string(round))));
+            results[i].metrics.get_int(delay_metric(round))));
       }
       row.push_back(results[i].metrics.get_bool("within_cap") ? "yes" : "NO");
       table.add_row(row);

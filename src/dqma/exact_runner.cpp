@@ -7,7 +7,6 @@
 #include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
 #include "quantum/unitary.hpp"
-#include "sweep/parallel.hpp"
 #include "util/require.hpp"
 #include "util/tolerance.hpp"
 
@@ -102,6 +101,23 @@ CMat pair_conditional(const CMat& effect, int pos, const CVec& other, int d) {
   return m;
 }
 
+/// Register of inner node j (1-based) that it keeps resp. sends on when its
+/// coin is b (registers ordered R_{1,0}, R_{1,1}, ..., R_{r-1,1}).
+int kept(int j, int b) { return 2 * (j - 1) + b; }
+int sent(int j, int b) { return 2 * (j - 1) + (1 - b); }
+
+/// One chain effect on a vector or, row-mixing, on a D x cols panel.
+void apply_effect(const LocalOpPlan& plan, const CMat& op, CVec& v) {
+  quantum::apply_local(plan, op, v);
+}
+void apply_effect(const LocalOpPlan& plan, const CMat& op, CMat& panel) {
+  quantum::apply_left_local(plan, op, panel);
+}
+
+/// Columns per identity panel of the dense build: the chain holds four
+/// D x kPanelCols buffers next to the D x D operator.
+constexpr int kPanelCols = 64;
+
 }  // namespace
 
 ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
@@ -130,7 +146,6 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   }
 
   inner_ = r_ - 1;
-  patterns_ = 1 << inner_;
 
   // Local effects.
   // First test at v_1 with the fixed |h_x> slot contracted:
@@ -138,10 +153,10 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   first_ = CMat::identity(d_);
   first_ += CMat::projector(hx);
   first_ *= Complex{0.5, 0.0};
-  // Middle swap-test effect on a register pair — only materialized when a
-  // pattern can actually contain one (inner_ >= 2): r == 2 paths have a
-  // single inner node and skipping the d^2 x d^2 build lets wide-d shallow
-  // instances through without the quadratic blowup.
+  // Middle swap-test effect on a register pair — only materialized when the
+  // chain has an inner step (inner_ >= 2): r == 2 paths have a single inner
+  // node and skipping the d^2 x d^2 build lets wide-d shallow instances
+  // through without the quadratic blowup.
   if (inner_ >= 2) {
     swap_effect_ = quantum::swap_unitary(d_);
     swap_effect_ += CMat::identity(d_ * d_);
@@ -150,7 +165,22 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   // Final measurement on sent_{r-1}.
   final_ = CMat::projector(hy);
 
-  build_pattern_effects();
+  plans_.reserve(static_cast<std::size_t>(4 * inner_));
+  for (int b = 0; b < 2; ++b) {
+    plans_.emplace_back(shape_, std::vector<int>{kept(1, b)});
+  }
+  for (int j = 2; j <= inner_; ++j) {
+    for (int b_prev = 0; b_prev < 2; ++b_prev) {
+      for (int b = 0; b < 2; ++b) {
+        plans_.emplace_back(shape_,
+                            std::vector<int>{sent(j - 1, b_prev), kept(j, b)});
+      }
+    }
+  }
+  for (int b = 0; b < 2; ++b) {
+    plans_.emplace_back(shape_, std::vector<int>{sent(inner_, b)});
+  }
+
   dense_ = (mode == Mode::kDense) ||
            (mode == Mode::kAuto && proof_dim_ <= kMaxDenseProofDim);
   if (dense_) {
@@ -163,69 +193,55 @@ ExactEqPathAnalyzer::ExactEqPathAnalyzer(CVec hx, CVec hy, int r, Mode mode)
   }
 }
 
-const CMat& ExactEqPathAnalyzer::effect_matrix(EffectKind kind) const {
-  switch (kind) {
-    case EffectKind::kFirst:
-      return first_;
-    case EffectKind::kSwap:
-      return swap_effect_;
-    default:
-      return final_;
+template <class Buffer>
+Buffer ExactEqPathAnalyzer::apply_chain(Buffer t) const {
+  // t and t1 are the partial results for the current coin b_j = 0 and 1.
+  // The effects act on disjoint registers, so each coin pattern's product
+  // can be applied in chain order; summing over b_{j-1} at every step
+  // leaves 4(r-2) + 4 local applications instead of 2^{r-1} * r. The
+  // parallel region is the threaded local kernel inside each application.
+  Buffer t1 = t;
+  apply_effect(plans_[first_index(0)], first_, t);
+  apply_effect(plans_[first_index(1)], first_, t1);
+  Buffer u;
+  Buffer v;
+  for (int j = 2; j <= inner_; ++j) {
+    // t_b <- sum_{b'} S_j(b', b) t_{b'}, with u and v holding the cross
+    // terms so that t and t1 update in place.
+    u = t;
+    apply_effect(plans_[step_index(j, 0, 1)], swap_effect_, u);
+    v = t1;
+    apply_effect(plans_[step_index(j, 1, 0)], swap_effect_, v);
+    apply_effect(plans_[step_index(j, 0, 0)], swap_effect_, t);
+    t += v;
+    apply_effect(plans_[step_index(j, 1, 1)], swap_effect_, t1);
+    t1 += u;
   }
-}
-
-void ExactEqPathAnalyzer::build_pattern_effects() {
-  const auto plan_index = [&](const std::vector<int>& regs) {
-    for (std::size_t i = 0; i < plans_.size(); ++i) {
-      if (plans_[i].regs() == regs) {
-        return i;
-      }
-    }
-    plans_.emplace_back(shape_, regs);
-    return plans_.size() - 1;
-  };
-  pattern_effects_.resize(static_cast<std::size_t>(patterns_));
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    const auto kept = [&](int j) {  // j = 1..inner
-      const int bit = (pattern >> (j - 1)) & 1;
-      return 2 * (j - 1) + bit;
-    };
-    const auto sent = [&](int j) {
-      const int bit = (pattern >> (j - 1)) & 1;
-      return 2 * (j - 1) + (1 - bit);
-    };
-    auto& effects = pattern_effects_[static_cast<std::size_t>(pattern)];
-    effects.reserve(static_cast<std::size_t>(inner_ + 1));
-    const auto add = [&](EffectKind kind, std::vector<int> regs) {
-      const std::size_t plan = plan_index(regs);
-      effects.push_back({kind, std::move(regs), plan});
-    };
-    add(EffectKind::kFirst, {kept(1)});
-    for (int j = 2; j <= inner_; ++j) {
-      add(EffectKind::kSwap, {sent(j - 1), kept(j)});
-    }
-    add(EffectKind::kFinal, {sent(inner_)});
-  }
+  apply_effect(plans_[final_index(0)], final_, t);
+  apply_effect(plans_[final_index(1)], final_, t1);
+  t += t1;
+  t *= Complex{std::ldexp(1.0, -inner_), 0.0};
+  return t;
 }
 
 void ExactEqPathAnalyzer::build_operator() {
-  const long long dim = proof_dim_;
-  CMat acc(static_cast<int>(dim), static_cast<int>(dim));
-  // Stream each pattern's local effects through the matrix-free layer onto
-  // an identity matrix: O(D^2 b) per pattern instead of multiplying D x D
-  // embeddings (the effects act on disjoint registers, so the application
-  // order is immaterial). The pattern loop stays serial — the O(D^2 b)
-  // apply_left_local streaming pass inside is the parallel region, which
-  // keeps peak memory at one D x D term regardless of thread count.
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    CMat term = CMat::identity(static_cast<int>(dim));
-    for (const PatternEffect& pe : pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      quantum::apply_left_local(plans_[pe.plan], effect_matrix(pe.kind), term);
+  // The chain on identity column panels: O(r * D^2 * b) in total, and the
+  // only memory besides op_ is the chain's four D x kPanelCols buffers.
+  const int dim = static_cast<int>(proof_dim_);
+  op_ = CMat(dim, dim);
+  for (int c0 = 0; c0 < dim; c0 += kPanelCols) {
+    const int cols = std::min(kPanelCols, dim - c0);
+    CMat panel(dim, cols);
+    for (int c = 0; c < cols; ++c) {
+      panel(c0 + c, c) = Complex{1.0, 0.0};
     }
-    acc += term;
+    const CMat block = apply_chain(std::move(panel));
+    for (int i = 0; i < dim; ++i) {
+      for (int c = 0; c < cols; ++c) {
+        op_(i, c0 + c) = block(i, c);
+      }
+    }
   }
-  acc *= Complex{1.0 / static_cast<double>(patterns_), 0.0};
-  op_ = std::move(acc);
 }
 
 const CMat& ExactEqPathAnalyzer::acceptance_operator() const {
@@ -244,23 +260,7 @@ CVec ExactEqPathAnalyzer::apply_acceptance(const CVec& psi) const {
   if (dense_) {
     return op_ * psi;
   }
-  // The pattern loop stays serial (reducing D-dimensional partial vectors
-  // across pattern chunks measured strictly slower: each chunk would own a
-  // proof-space-sized accumulator). The parallel region is the threaded
-  // apply_local inside — D / b free-offset blocks per effect give every
-  // kernel thread work at any realistic thread count, with no extra
-  // allocation and the exact pre-threading summation order.
-  CVec out(static_cast<int>(proof_dim_));
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    CVec tmp = psi;
-    for (const PatternEffect& pe :
-         pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      quantum::apply_local(plans_[pe.plan], effect_matrix(pe.kind), tmp);
-    }
-    out += tmp;
-  }
-  out *= Complex{1.0 / static_cast<double>(patterns_), 0.0};
-  return out;
+  return apply_chain(psi);
 }
 
 double ExactEqPathAnalyzer::worst_case_accept(int max_iters) const {
@@ -284,6 +284,33 @@ double ExactEqPathAnalyzer::worst_case_accept(
   return std::min(1.0, linalg::top_eigenvalue_psd(op, opts, nullptr, stats));
 }
 
+std::vector<double> ExactEqPathAnalyzer::chain_factors(
+    const std::vector<CVec>& regs) const {
+  std::vector<double> factors(plans_.size());
+  for (std::size_t i = 0; i < plans_.size(); ++i) {
+    const CMat& effect =
+        i < 2 ? first_ : (i >= final_index(0) ? final_ : swap_effect_);
+    factors[i] = local_expectation(effect, plans_[i].regs(), regs);
+  }
+  return factors;
+}
+
+std::vector<double> ExactEqPathAnalyzer::forward_messages(
+    const std::vector<double>& f) const {
+  std::vector<double> alpha(message_index(inner_ + 1, 0));
+  for (int b = 0; b < 2; ++b) {
+    alpha[message_index(1, b)] = f[first_index(b)];
+  }
+  for (int j = 2; j <= inner_; ++j) {
+    for (int b = 0; b < 2; ++b) {
+      alpha[message_index(j, b)] =
+          alpha[message_index(j - 1, 0)] * f[step_index(j, 0, b)] +
+          alpha[message_index(j - 1, 1)] * f[step_index(j, 1, b)];
+    }
+  }
+  return alpha;
+}
+
 double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const {
   require(static_cast<int>(regs.size()) == shape_.register_count(),
           "ExactEqPathAnalyzer: register count mismatch");
@@ -293,54 +320,66 @@ double ExactEqPathAnalyzer::product_accept(const std::vector<CVec>& regs) const 
   for (const CVec& v : regs) {
     require(v.dim() == d_, "ExactEqPathAnalyzer: register dimension mismatch");
   }
-  // For a product proof each pattern term factorizes over its disjoint
-  // effect groups, so the acceptance is a sum of products of O(d^4) local
-  // expectations — no D-dimensional object is touched.
-  double total = 0.0;
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    double term = 1.0;
-    for (const PatternEffect& pe : pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      term *= local_expectation(effect_matrix(pe.kind), pe.regs, regs);
-    }
-    total += term;
-  }
-  return std::max(0.0, total / static_cast<double>(patterns_));
+  // For a product proof every chain effect contributes a scalar local
+  // expectation, so the coin sum is a forward message over two values —
+  // O(r) expectations of O(d^4) each, no D-dimensional object touched.
+  const std::vector<double> f = chain_factors(regs);
+  const std::vector<double> alpha = forward_messages(f);
+  const double total = alpha[message_index(inner_, 0)] * f[final_index(0)] +
+                       alpha[message_index(inner_, 1)] * f[final_index(1)];
+  return std::max(0.0, std::ldexp(total, -inner_));
 }
 
 CMat ExactEqPathAnalyzer::conditional_operator(
     int k, const std::vector<CVec>& regs) const {
-  // M_k(i, j) = <psi_-k, e_i| O |psi_-k, e_j>: per pattern, the group
-  // containing register k contributes a partially contracted d x d block
-  // and every other group a scalar factor (every proof register sits in
-  // exactly one effect group of every pattern).
-  CMat cond(d_, d_);
-  for (int pattern = 0; pattern < patterns_; ++pattern) {
-    double scale = 1.0;
-    bool found = false;
-    CMat part;
-    for (const PatternEffect& pe :
-         pattern_effects_[static_cast<std::size_t>(pattern)]) {
-      const auto it = std::find(pe.regs.begin(), pe.regs.end(), k);
-      if (it == pe.regs.end()) {
-        scale *= local_expectation(effect_matrix(pe.kind), pe.regs, regs);
-        continue;
-      }
-      found = true;
-      if (pe.regs.size() == 1) {
-        part = effect_matrix(pe.kind);
-      } else {
-        const int pos = static_cast<int>(it - pe.regs.begin());
-        const CVec& other =
-            regs[static_cast<std::size_t>(pe.regs[pos == 0 ? 1 : 0])];
-        part = pair_conditional(effect_matrix(pe.kind), pos, other, d_);
-      }
-    }
-    util::ensure(found, "ExactEqPathAnalyzer: register not covered by any "
-                        "effect group");
-    part *= Complex{scale, 0.0};
-    cond += part;
+  // M_k = 2^{-(r-1)} sum_b (block of the effect holding k) * (product of
+  // the other effects' expectations). Register k = R_{j,c} is kept(j) when
+  // b_j = c and sent(j) when b_j = 1 - c, so only the effects of nodes j
+  // and j + 1 carry a block; the rest of the coin sum collapses into the
+  // forward messages alpha and backward messages beta (effects j+1..r
+  // summed over b_{j+1}, ... given b_j).
+  const std::vector<double> f = chain_factors(regs);
+  const std::vector<double> alpha = forward_messages(f);
+  std::vector<double> beta(alpha.size());
+  for (int b = 0; b < 2; ++b) {
+    beta[message_index(inner_, b)] = f[final_index(b)];
   }
-  cond *= Complex{1.0 / static_cast<double>(patterns_), 0.0};
+  for (int j = inner_ - 1; j >= 1; --j) {
+    for (int b = 0; b < 2; ++b) {
+      beta[message_index(j, b)] =
+          f[step_index(j + 1, b, 0)] * beta[message_index(j + 1, 0)] +
+          f[step_index(j + 1, b, 1)] * beta[message_index(j + 1, 1)];
+    }
+  }
+
+  const int j = k / 2 + 1;
+  const int c = k % 2;
+  CMat cond(d_, d_);
+  const auto add = [&](CMat block, double weight) {
+    block *= Complex{weight, 0.0};
+    cond += block;
+  };
+  // b_j = c: k is kept(j), in node j's own test.
+  if (j == 1) {
+    add(first_, beta[message_index(1, c)]);
+  } else {
+    for (int b = 0; b < 2; ++b) {
+      add(pair_conditional(swap_effect_, 1,
+                           regs[static_cast<std::size_t>(sent(j - 1, b))], d_),
+          alpha[message_index(j - 1, b)] * beta[message_index(j, c)]);
+    }
+  }
+  // b_j = 1 - c: k is sent(j), in node j + 1's test or the final measurement.
+  if (j == inner_) {
+    add(final_, alpha[message_index(inner_, 1 - c)]);
+  } else {
+    for (int b = 0; b < 2; ++b) {
+      add(pair_conditional(swap_effect_, 0,
+                           regs[static_cast<std::size_t>(kept(j + 1, b))], d_),
+          alpha[message_index(j, 1 - c)] * beta[message_index(j + 1, b)]);
+    }
+  }
+  cond *= Complex{std::ldexp(1.0, -inner_), 0.0};
   return cond;
 }
 

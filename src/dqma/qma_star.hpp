@@ -24,7 +24,8 @@ namespace dqma::protocol {
 class QmaStarInstance {
  public:
   /// Builds the i-th reduction (cut between v_cut and v_cut+1) from the
-  /// exact analyzer of an EQ path protocol of length r. Requires
+  /// exact analyzer of an EQ path protocol of length r, which must hold the
+  /// materialized operator (ExactEqPathAnalyzer::Mode::kDense). Requires
   /// 1 <= cut <= r - 1.
   QmaStarInstance(const ExactEqPathAnalyzer& analyzer, int cut,
                   int register_qubits);

@@ -22,8 +22,7 @@ inline constexpr double kJacobiTol = 1e-22;
 /// operators scale O(D * b) and never materialize a D x D embedding, so the
 /// cap is now bounded by state-vector memory (2^18 amplitudes = 4 MiB), not
 /// by a dense matrix. Code paths that do materialize dense operators guard
-/// themselves with kMaxDenseExactDim (or their own tighter bound, e.g.
-/// ExactEqPathAnalyzer::kMaxDenseProofDim).
+/// themselves with kMaxDenseExactDim.
 inline constexpr int kMaxExactDim = 1 << 18;
 
 /// Maximum dimension for code paths that materialize a dense D x D matrix

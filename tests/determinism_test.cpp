@@ -347,6 +347,23 @@ TEST(ThreadedKernelDeterminismTest, AnalyzerAssemblyAndMatrixFreeMatvec) {
                                  ExactEqPathAnalyzer::Mode::kMatrixFree);
     return mf.worst_case_accept(/*max_iters=*/32);
   });
+  // The deep shape (d = 2, r = 7): the coin chain's five swap steps over
+  // 4-dim blocks, and the panel-wise dense build at d = 2, r = 5.
+  const CVec hx2 = CVec::basis(2, 0);
+  CVec hy2(2);
+  hy2[0] = Complex{0.2, 0.0};
+  hy2[1] = Complex{std::sqrt(1.0 - 0.04), 0.0};
+  const CVec deep_probe = dqma::quantum::haar_state(4096, rng);  // 2^12
+  expect_threads_invariant_vec([&] {
+    const ExactEqPathAnalyzer mf(hx2, hy2, 7,
+                                 ExactEqPathAnalyzer::Mode::kMatrixFree);
+    return mf.apply_acceptance(deep_probe);
+  });
+  expect_threads_invariant_mat([&] {
+    const ExactEqPathAnalyzer dense(hx2, hy2, 5,
+                                    ExactEqPathAnalyzer::Mode::kDense);
+    return dense.acceptance_operator();
+  });
 }
 
 TEST(ThreadedKernelDeterminismTest, IsAlsoInvariantInsideSweepJobs) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dqma/exact_runner.hpp"
@@ -17,6 +19,7 @@
 #include "quantum/random.hpp"
 #include "quantum/state.hpp"
 #include "quantum/unitary.hpp"
+#include "support/pattern_expansion.hpp"
 #include "support/test_support.hpp"
 #include "util/tolerance.hpp"
 
@@ -39,6 +42,7 @@ using dqma::quantum::project_local;
 using dqma::quantum::PureState;
 using dqma::quantum::RegisterShape;
 using dqma::quantum::sandwich_local;
+using dqma::test::PatternExpansion;
 using dqma::test::SeededTest;
 using dqma::util::Rng;
 
@@ -293,9 +297,13 @@ TEST_F(ExactEngineModesTest, StreamedOperatorMatchesEmbeddedAssembly) {
 }
 
 TEST_F(ExactEngineModesTest, MatrixFreeApplicationMatchesDenseOperator) {
-  for (const int r : {2, 3, 4}) {
-    const CVec hx = haar_state(2, rng());
-    const CVec hy = haar_state(2, rng());
+  // The dense build runs the chain on 64-column identity panels: d = 2,
+  // r = 6 (D = 1024) spans sixteen of them, d = 3, r = 3 (D = 81) ends on
+  // a partial one.
+  for (const auto& [d, r] : {std::pair{2, 2}, std::pair{2, 3}, std::pair{2, 4},
+                             std::pair{2, 6}, std::pair{3, 3}}) {
+    const CVec hx = haar_state(d, rng());
+    const CVec hy = haar_state(d, rng());
     const ExactEqPathAnalyzer dense(hx, hy, r,
                                     ExactEqPathAnalyzer::Mode::kDense);
     const ExactEqPathAnalyzer free(hx, hy, r,
@@ -358,6 +366,37 @@ TEST_F(ExactEngineModesTest, BestProductAgreesAcrossModes) {
   Rng rng_free(1234);
   EXPECT_NEAR(dense.best_product_accept(rng_dense, 4, 40),
               free.best_product_accept(rng_free, 4, 40), 1e-8);
+}
+
+TEST_F(ExactEngineModesTest, CoinChainMatchesPatternExpansion) {
+  // The analyzer's two-state coin chain against the 2^{r-1}-pattern
+  // expansion: r = 1 is the scalar case, r = 2 has no swap step.
+  const std::vector<std::pair<int, int>> shapes = {
+      {2, 1}, {2, 2}, {2, 3}, {2, 4}, {2, 5}, {2, 6}, {2, 7},
+      {3, 2}, {3, 3}, {3, 4}};
+  for (const auto& [d, r] : shapes) {
+    SCOPED_TRACE("d = " + std::to_string(d) + ", r = " + std::to_string(r));
+    const CVec hx = haar_state(d, rng());
+    const CVec hy = haar_state(d, rng());
+    const ExactEqPathAnalyzer chain(hx, hy, r,
+                                    ExactEqPathAnalyzer::Mode::kMatrixFree);
+    const PatternExpansion oracle(hx, hy, r);
+    const CVec psi = haar_state(static_cast<int>(chain.proof_dim()), rng());
+    EXPECT_STATE_NEAR_TOL(chain.apply_acceptance(psi), oracle.apply(psi),
+                          1e-12);
+
+    std::vector<CVec> regs;
+    for (int k = 0; k < oracle.register_count(); ++k) {
+      regs.push_back(haar_state(d, rng()));
+    }
+    EXPECT_NEAR(chain.product_accept(regs), oracle.product_accept(regs), 1e-12);
+
+    // The optimizer climbs the conditional operators of every register.
+    Rng chain_rng(99 + r);
+    Rng oracle_rng(99 + r);
+    EXPECT_NEAR(chain.best_product_accept(chain_rng, 2, 20),
+                oracle.best_product_accept(oracle_rng, 2, 20), 1e-9);
+  }
 }
 
 TEST_F(ExactEngineModesTest, MatrixFreeModeReachesBeyondTheOldDenseCap) {

@@ -16,6 +16,9 @@ using dqma::protocol::ExactEqPathAnalyzer;
 using dqma::protocol::QmaStarInstance;
 using dqma::util::Rng;
 
+// The reduction consumes the materialized acceptance operator.
+constexpr auto kDense = ExactEqPathAnalyzer::Mode::kDense;
+
 CVec far_state() {
   return CVec::basis(2, 1);
 }
@@ -27,7 +30,7 @@ TEST(QmaStarTest, ReductionPreservesWorstCaseAcceptance) {
   const CVec a = CVec::basis(2, 0);
   const CVec b = far_state();
   for (int r : {3, 4}) {
-    const ExactEqPathAnalyzer analyzer(a, b, r);
+    const ExactEqPathAnalyzer analyzer(a, b, r, kDense);
     const double source_worst = analyzer.worst_case_accept();
     for (int cut = 0; cut <= r - 1; ++cut) {
       const QmaStarInstance star(analyzer, cut, /*register_qubits=*/5);
@@ -40,7 +43,7 @@ TEST(QmaStarTest, ReductionPreservesWorstCaseAcceptance) {
 TEST(QmaStarTest, CostAccountingMatchesTheorem63) {
   // gamma_1 + gamma_2 = total proof qubits; mu = one crossing message.
   const CVec a = CVec::basis(2, 0);
-  const ExactEqPathAnalyzer analyzer(a, far_state(), 4);
+  const ExactEqPathAnalyzer analyzer(a, far_state(), 4, kDense);
   const int q = 7;
   for (int cut = 0; cut <= 3; ++cut) {
     const QmaStarInstance star(analyzer, cut, q);
@@ -54,7 +57,7 @@ TEST(QmaStarTest, CostAccountingMatchesTheorem63) {
 TEST(QmaStarTest, CutSeparableProversAreWeakerButClose) {
   Rng rng(31);
   const CVec a = CVec::basis(2, 0);
-  const ExactEqPathAnalyzer analyzer(a, far_state(), 4);
+  const ExactEqPathAnalyzer analyzer(a, far_state(), 4, kDense);
   const QmaStarInstance star(analyzer, /*cut=*/1, 5);
   const double entangled = star.max_accept();
   const double separable = star.max_cut_separable_accept(rng);
@@ -67,7 +70,7 @@ TEST(QmaStarTest, CutSeparableProversAreWeakerButClose) {
 TEST(QmaStarTest, DegenerateCutsEqualEntangledOptimum) {
   Rng rng(32);
   const CVec a = CVec::basis(2, 0);
-  const ExactEqPathAnalyzer analyzer(a, far_state(), 3);
+  const ExactEqPathAnalyzer analyzer(a, far_state(), 3, kDense);
   // cut = 0: Alice holds nothing; cut = r-1: Bob holds nothing.
   for (int cut : {0, 2}) {
     const QmaStarInstance star(analyzer, cut, 5);
@@ -77,7 +80,7 @@ TEST(QmaStarTest, DegenerateCutsEqualEntangledOptimum) {
 
 TEST(QmaStarTest, RejectsOutOfRangeCut) {
   const CVec a = CVec::basis(2, 0);
-  const ExactEqPathAnalyzer analyzer(a, far_state(), 3);
+  const ExactEqPathAnalyzer analyzer(a, far_state(), 3, kDense);
   EXPECT_THROW(QmaStarInstance(analyzer, 5, 5), std::invalid_argument);
 }
 
