@@ -360,24 +360,19 @@ void run(sweep::ExperimentContext& ctx) {
         out, "(g) circuit-level Monte-Carlo vs chain DP",
         "The third protocol implementation, cross-checked: Algorithm 3 run\n"
         "as sampled SWAP-test circuits under the rotation attack, against\n"
-        "the exact coin DP. 'batched' precomputes the coin-conditioned\n"
-        "closed-form test probabilities once (O(r d) total) and replays the\n"
-        "identical draw sequence; 'state_vector' simulates every shot on\n"
-        "the 2d^2-amplitude machine — the pre-batching per-shot baseline,\n"
-        "kept as a perf reference (wall_ms under --timings).");
+        "the exact coin DP. Each node's coin-conditioned test probabilities\n"
+        "are computed once in closed form (O(r d) total) and every shot\n"
+        "samples against them.");
     const int samples = ctx.smoke_select(4000, 500);
     std::vector<sweep::ParamPoint> points;
     for (const auto& [d, r] :
          ctx.smoke_select(std::vector<std::pair<int, int>>{
                               {16, 4}, {64, 4}, {64, 6}},
                           {{16, 4}, {64, 4}})) {
-      for (const char* strategy : {"batched", "state_vector"}) {
-        points.push_back(sweep::ParamPoint()
-                             .set("d", d)
-                             .set("r", r)
-                             .set("strategy", strategy)
-                             .set("samples", samples));
-      }
+      points.push_back(sweep::ParamPoint()
+                           .set("d", d)
+                           .set("r", r)
+                           .set("samples", samples));
     }
     const auto results = ctx.sweep(
         "circuit_mc", points, [](const sweep::ParamPoint& p, Rng& rng) {
@@ -385,8 +380,7 @@ void run(sweep::ExperimentContext& ctx) {
           const int r = static_cast<int>(p.get_int("r"));
           const int samples = static_cast<int>(p.get_int("samples"));
           // Deterministic inputs (no rng): endpoint overlap 0.3, rotation
-          // attack proof — so both strategies of a (d, r) pair estimate
-          // the same ground-truth acceptance.
+          // attack proof.
           linalg::CVec hx = linalg::CVec::basis(d, 0);
           linalg::CVec hy(d);
           hy[0] = linalg::Complex{0.3, 0.0};
@@ -399,12 +393,8 @@ void run(sweep::ExperimentContext& ctx) {
                 return qtest::swap_test_accept(a, b);
               },
               [&hy](const linalg::CVec& v) { return std::norm(hy.dot(v)); });
-          const auto strategy =
-              p.get_string("strategy") == "batched"
-                  ? protocol::CircuitMcStrategy::kBatched
-                  : protocol::CircuitMcStrategy::kStateVector;
-          const auto est = protocol::circuit_eq_path_accept(
-              hx, hy, proof, rng, samples, strategy);
+          const auto est =
+              protocol::circuit_eq_path_accept(hx, hy, proof, rng, samples);
           return sweep::Metrics()
               .set("dp_accept", dp)
               .set("mc_accept", est.mean)
@@ -413,14 +403,13 @@ void run(sweep::ExperimentContext& ctx) {
               .set("within_ci", std::abs(est.mean - dp) <=
                                     est.half_width_95 + 1e-12);
         });
-    Table table({"d", "r", "strategy", "samples", "chain DP", "circuit MC",
-                 "|diff|", "in 95% CI?"});
+    Table table({"d", "r", "samples", "chain DP", "circuit MC", "|diff|",
+                 "in 95% CI?"});
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (results[i].skipped) continue;
       const auto& m = results[i].metrics;
       table.add_row({Table::fmt(points[i].get_int("d")),
                      Table::fmt(points[i].get_int("r")),
-                     points[i].get_string("strategy"),
                      Table::fmt(points[i].get_int("samples")),
                      Table::fmt(m.get_double("dp_accept")),
                      Table::fmt(m.get_double("mc_accept")),

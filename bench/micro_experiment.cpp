@@ -318,15 +318,15 @@ void run(sweep::ExperimentContext& ctx) {
         "The split-complex engine's core kernels at every dispatch level\n"
         "(linalg/simd.hpp), one kernel thread, level pinned per point via\n"
         "LevelScope. Checksums and the flop/byte counts are deterministic\n"
-        "per level; GFLOP/s and GB/s ride in the wall_ms of the\n"
-        "simd_roofline_stats points (JSON: --timings only). Levels the\n"
-        "host cannot run are clamped to the best supported one.");
-    // Each kernel's level triple is one unit, together with the two
-    // simd_roofline_stats companions of every level point, run serially
-    // like parallel_kernels: each point pins thread count and dispatch
-    // level, and all three levels draw from copies of the unit's stream,
-    // so the cross-level agreement (within rounding) is visible in the
-    // JSON itself.
+        "per level; wall_ms (JSON: --timings only) times the kernel loop,\n"
+        "so GFLOP/s and GB/s follow from flops_per_iter, bytes_per_iter\n"
+        "and iters. Levels the host cannot run are clamped to the best\n"
+        "supported one.");
+    // Each kernel's level triple is one unit, run serially like
+    // parallel_kernels: each point pins thread count and dispatch level,
+    // and all three levels draw from copies of the unit's stream, so the
+    // cross-level agreement (within rounding) is visible in the JSON
+    // itself.
     std::vector<sweep::ParamPoint> points;
     for (const char* kernel : {"apply_local", "gemm", "matvec"}) {
       for (const char* level : {"scalar", "avx2", "avx512"}) {
@@ -420,55 +420,46 @@ void run(sweep::ExperimentContext& ctx) {
         wall_ms = clock_ms() - t0;
         checksum = x.norm() + std::abs(x[0]);
       }
-      // The stats companions carry GFLOP/s and GB/s in their wall_ms.
-      std::vector<sweep::JobResult> results(3);
-      results[0].metrics.set("checksum", checksum)
+      sweep::JobResult result;
+      result.metrics.set("checksum", checksum)
           .set("flops_per_iter", flops)
           .set("bytes_per_iter", bytes)
           .set("iters", iters);
-      const double wall_s = wall_ms / 1000.0;
-      const long long per_iter[] = {flops, bytes};
-      for (int s = 0; s < 2; ++s) {
-        results[static_cast<std::size_t>(s) + 1].metrics.set("iters", iters);
-        results[static_cast<std::size_t>(s) + 1].wall_ms =
-            wall_s > 0.0
-                ? static_cast<double>(per_iter[s] * iters) / wall_s / 1.0e9
-                : 0.0;
-      }
-      return results;
+      result.wall_ms = wall_ms;
+      return result;
     };
     Table rtable({"kernel", "level", "ran at", "checksum", "GFLOP/s", "GB/s"});
     for (std::size_t i = 0; i < points.size(); i += 3) {
       std::vector<sweep::UnitRecord> records;
       for (std::size_t k = i; k < i + 3; ++k) {
         records.push_back({"simd_roofline", points[k]});
-        for (const char* stat : {"gflops", "gbytes_per_s"}) {
-          records.push_back({"simd_roofline_stats",
-                             sweep::ParamPoint()
-                                 .set("kernel", points[k].get_string("kernel"))
-                                 .set("level", points[k].get_string("level"))
-                                 .set("stat", stat)});
-        }
       }
       const auto results = ctx.unit(records, [&](Rng& rng) {
         std::vector<sweep::JobResult> unit_results;
         for (std::size_t k = i; k < i + 3; ++k) {
-          for (sweep::JobResult& result : run_level(points[k], rng)) {
-            unit_results.push_back(std::move(result));
-          }
+          unit_results.push_back(run_level(points[k], rng));
         }
         return unit_results;
       });
       for (std::size_t k = 0; k < 3; ++k) {
-        if (results[3 * k].skipped) continue;  // owned by another process
+        if (results[k].skipped) continue;  // owned by another process
+        const auto& m = results[k].metrics;
         const auto& level = points[i + k].get_string("level");
+        // Rate in units of 1e9 per second over the timed kernel loop.
+        const auto giga_per_s = [&](const char* per_iter) {
+          const double wall_s = results[k].wall_ms / 1000.0;
+          return wall_s > 0.0 ? static_cast<double>(m.get_int(per_iter) *
+                                                    m.get_int("iters")) /
+                                    wall_s / 1.0e9
+                              : 0.0;
+        };
         rtable.add_row(
             {points[i + k].get_string("kernel"), level,
              linalg::simd::level_name(linalg::simd::clamp_to_supported(
                  linalg::simd::parse_level(level))),
-             Table::fmt(results[3 * k].metrics.get_double("checksum")),
-             Table::fmt(results[3 * k + 1].wall_ms, 2),
-             Table::fmt(results[3 * k + 2].wall_ms, 2)});
+             Table::fmt(m.get_double("checksum")),
+             Table::fmt(giga_per_s("flops_per_iter"), 2),
+             Table::fmt(giga_per_s("bytes_per_iter"), 2)});
       }
     }
     rtable.print(out);

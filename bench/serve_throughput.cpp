@@ -1,19 +1,21 @@
 // serve_throughput — drives the dqma_serve request engine (src/serve/)
-// with a synthetic multi-workload request stream and records sustained
-// requests/sec plus p50/p95/p99 response latency.
+// with a synthetic multi-workload request stream: the serve layer's byte
+// gate.
 //
-// Determinism split. Regular metrics hold only reproducible values: the
-// request/ok counts, the shape-cache counters (single-flight, so misses ==
-// distinct shapes at any thread count), and an FNV-1a checksum over the
+// The recorded metrics hold only reproducible values: the request/ok
+// counts, the shape-cache counters (single-flight, so misses == distinct
+// shapes at any thread count), and an FNV-1a checksum over the
 // concatenated response bytes — equal across the threads axis by the serve
-// determinism contract, and the JSON document pins it. The nondeterministic
-// numbers (req/s, latency percentiles) ride exclusively in per-point
-// wall_ms, which the writer emits only under --timings — so the default
-// document stays byte-comparable across runs and hosts.
+// determinism contract, and the JSON document pins it. The burst's wall
+// time is the point's wall_ms (--timings only), so req/s follows from it
+// and `requests`. The stdout table also prints the burst's latency
+// percentiles; they are not recorded. Throughput and latency under
+// open-loop load are measured by perfbench's serve_mixed workload.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments.hpp"
@@ -73,7 +75,8 @@ void run(sweep::ExperimentContext& ctx) {
       "A fixed multi-workload request stream through serve::Server at 1\n"
       "thread vs the full --threads budget. Counts, cache counters and the\n"
       "response checksum are deterministic (and equal across the thread\n"
-      "axis); req/s and latency percentiles ride in wall_ms (--timings).");
+      "axis); the burst's wall time is the point's wall_ms (--timings).\n"
+      "Latency percentiles are printed here only, for a fresh run.");
 
   serve::register_builtin_workloads();
   const int requests = ctx.smoke_select(96, 24);
@@ -87,21 +90,15 @@ void run(sweep::ExperimentContext& ctx) {
   Table table({"threads", "requests", "ok", "cache miss", "req/s", "p50 ms",
                "p95 ms", "p99 ms"});
   // Each thread count is one unit, run serially (it owns a whole Server
-  // with its own pool): the engine point plus one stats point per
-  // percentile/rate, the value carried in wall_ms (nondeterministic =>
-  // --timings only); `stat` names it.
-  const char* const stat_names[] = {"req_per_s", "p50_ms", "p95_ms",
-                                    "p99_ms"};
+  // with its own pool).
   for (const int threads_param : {1, 0}) {
-    std::vector<sweep::UnitRecord> records = {
+    const std::vector<sweep::UnitRecord> records = {
         {"engine", sweep::ParamPoint()
                        .set("threads", threads_param)
                        .set("requests", requests)}};
-    for (const char* stat : stat_names) {
-      records.push_back({"stats", sweep::ParamPoint()
-                                      .set("threads", threads_param)
-                                      .set("stat", stat)});
-    }
+    // Burst latency percentiles for the table; left unset when the unit is
+    // resumed from a checkpoint log instead of run.
+    std::vector<double> percentiles;
     const auto results = ctx.unit(records, [&](util::Rng&) {
       // threads 0 = the sweep pool's resolved --threads budget, so
       // `--threads 1` keeps even the "parallel" point serial.
@@ -141,12 +138,8 @@ void run(sweep::ExperimentContext& ctx) {
 
       std::vector<double> sorted = latency_ms;
       std::sort(sorted.begin(), sorted.end());
-      const double p50 = percentile(sorted, 0.50);
-      const double p95 = percentile(sorted, 0.95);
-      const double p99 = percentile(sorted, 0.99);
-      const double req_per_s =
-          wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms
-                        : 0.0;
+      percentiles = {percentile(sorted, 0.50), percentile(sorted, 0.95),
+                     percentile(sorted, 0.99)};
 
       std::vector<sweep::JobResult> unit_results(records.size());
       unit_results[0].metrics
@@ -157,22 +150,22 @@ void run(sweep::ExperimentContext& ctx) {
           .set("cache_hits", static_cast<long long>(stats.cache.hits))
           .set("response_checksum", checksum);
       unit_results[0].wall_ms = wall_ms;
-      const double stat_values[] = {req_per_s, p50, p95, p99};
-      for (std::size_t k = 0; k < 4; ++k) {
-        unit_results[k + 1].metrics.set("samples", requests);
-        unit_results[k + 1].wall_ms = stat_values[k];
-      }
       return unit_results;
     });
     if (results[0].skipped) continue;  // owned by another process
     const auto& m = results[0].metrics;
-    table.add_row({Table::fmt(threads_param), Table::fmt(requests),
-                   Table::fmt(m.get_int("ok")),
-                   Table::fmt(m.get_int("cache_misses")),
-                   Table::fmt(results[1].wall_ms, 1),
-                   Table::fmt(results[2].wall_ms, 3),
-                   Table::fmt(results[3].wall_ms, 3),
-                   Table::fmt(results[4].wall_ms, 3)});
+    const double wall_ms = results[0].wall_ms;
+    std::vector<std::string> row = {
+        Table::fmt(threads_param), Table::fmt(requests),
+        Table::fmt(m.get_int("ok")), Table::fmt(m.get_int("cache_misses")),
+        Table::fmt(wall_ms > 0.0
+                       ? 1000.0 * static_cast<double>(requests) / wall_ms
+                       : 0.0,
+                   1)};
+    for (std::size_t k = 0; k < 3; ++k) {
+      row.push_back(percentiles.empty() ? "-" : Table::fmt(percentiles[k], 3));
+    }
+    table.add_row(std::move(row));
   }
   table.print(out);
 }
@@ -182,8 +175,8 @@ void run(sweep::ExperimentContext& ctx) {
 void register_serve_throughput() {
   sweep::register_experiment(
       {"serve_throughput",
-       "dqma_serve engine: requests/sec and latency percentiles "
-       "(wall times via --timings)",
+       "dqma_serve engine: response bytes and cache counters of a fixed "
+       "request burst (burst wall time via --timings)",
        run});
 }
 

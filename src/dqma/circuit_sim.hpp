@@ -1,15 +1,18 @@
-// Circuit-level simulation of the EQ path protocol (Algorithm 3): one
-// repetition executed as an actual quantum circuit on a state-vector
-// machine — ancilla + Hadamard + controlled-SWAP + measurement for every
-// SWAP test (Algorithm 1 verbatim), explicit symmetrization coins, and a
+// Circuit-level Monte-Carlo of the EQ path protocol (Algorithm 3): one
+// repetition sampled shot by shot as the network runs it — a
+// symmetrization coin per intermediate node, a SWAP test (Algorithm 1) on
+// the register arriving from the left and the one the node keeps, and v_r's
 // projective final measurement.
 //
-// This is the third, fully independent implementation of the protocol's
-// semantics (next to the closed-form coin DP of runner.hpp and the
-// acceptance-operator engine of exact_runner.hpp); the three are
-// cross-checked in tests. It is Monte-Carlo (samples coins and measurement
-// outcomes) and exponential in the register count, so it runs on small
-// fingerprint dimensions only — exactly its purpose.
+// Each node's SWAP test sees one of four (previous coin, own coin) register
+// pairs, so its acceptance probabilities follow in closed form,
+// Pr[0] = (1 + |<a|b>|^2) / 2, and are computed once in O(inner * d). Each
+// shot then costs O(inner) coin flips and table lookups. The gate-by-gate
+// state-vector circuit (ancilla, Hadamards, controlled-SWAP) lives in
+// tests/support as the oracle: it draws in the same order, so the tests
+// check the two shot for shot. Both are cross-checked against the
+// closed-form coin DP of runner.hpp and the acceptance-operator engine of
+// exact_runner.hpp.
 #pragma once
 
 #include "dqma/model.hpp"
@@ -18,34 +21,18 @@
 
 namespace dqma::protocol {
 
-/// How the Monte-Carlo estimate executes each shot.
-enum class CircuitMcStrategy {
-  /// Full state-vector machine per shot: ancilla + Hadamards +
-  /// controlled-SWAP + measurement, O(inner * d^2) per shot. The reference
-  /// implementation.
-  kStateVector,
-  /// Precompute-then-sample: each node's four coin-conditioned SWAP-test
-  /// acceptance probabilities are computed ONCE via the closed form
-  /// Pr[0] = (1 + |<a|b>|^2) / 2 — O(inner * d) total — and every shot is
-  /// then O(inner) coin flips and table lookups. The RNG draw order is
-  /// identical to kStateVector (coin, acceptance draw per node, final
-  /// Bernoulli), so both strategies walk the same sample paths; only
-  /// ulp-level rounding of the per-test probabilities differs.
-  kBatched,
-};
-
 /// Simulates `samples` runs of one repetition of Algorithm 3 at circuit
 /// level and returns the empirical acceptance probability.
 ///
 /// * `source`: the state v_0 sends (e.g. |h_x>);
 /// * `target`: v_r's reference state (accept projector |h_y><h_y|);
 /// * `proof`: the intermediate nodes' registers (product proof).
-/// The total simulated system holds 2(r-1)+2 registers of the proof
-/// dimension plus one ancilla qubit (reused); dimensions are capped by the
-/// exact-engine limit.
-MonteCarloEstimate circuit_eq_path_accept(
-    const linalg::CVec& source, const linalg::CVec& target,
-    const PathProof& proof, util::Rng& rng, int samples,
-    CircuitMcStrategy strategy = CircuitMcStrategy::kBatched);
+/// The draw order per shot is: coin, then an acceptance draw, per node
+/// until one rejects; then the final Bernoulli. Dimensions are capped by
+/// the exact-engine limit (2 d^2 <= kMaxExactDim).
+MonteCarloEstimate circuit_eq_path_accept(const linalg::CVec& source,
+                                          const linalg::CVec& target,
+                                          const PathProof& proof,
+                                          util::Rng& rng, int samples);
 
 }  // namespace dqma::protocol

@@ -38,27 +38,6 @@ ConstComplexView::ConstComplexView(const SplitBuffer& b) {
   im_ = b.im();
 }
 
-ConstComplexView ConstComplexView::aos(const Complex* p, long long extent,
-                                       long long cols) {
-  ConstComplexView view;
-  view.layout_ = Layout::kAoS;
-  view.extent_ = extent;
-  view.cols_ = cols;
-  view.aos_ = p;
-  return view;
-}
-
-ConstComplexView ConstComplexView::soa(const double* re, const double* im,
-                                       long long extent, long long cols) {
-  ConstComplexView view;
-  view.layout_ = Layout::kSoA;
-  view.extent_ = extent;
-  view.cols_ = cols;
-  view.re_ = re;
-  view.im_ = im;
-  return view;
-}
-
 MutComplexView::MutComplexView(CVec& v) {
   layout_ = Layout::kAoS;
   extent_ = v.dim();
@@ -78,27 +57,6 @@ MutComplexView::MutComplexView(SplitBuffer& b) {
   cols_ = b.cols();
   re_ = b.re();
   im_ = b.im();
-}
-
-MutComplexView MutComplexView::aos(Complex* p, long long extent,
-                                   long long cols) {
-  MutComplexView view;
-  view.layout_ = Layout::kAoS;
-  view.extent_ = extent;
-  view.cols_ = cols;
-  view.aos_ = p;
-  return view;
-}
-
-MutComplexView MutComplexView::soa(double* re, double* im, long long extent,
-                                   long long cols) {
-  MutComplexView view;
-  view.layout_ = Layout::kSoA;
-  view.extent_ = extent;
-  view.cols_ = cols;
-  view.re_ = re;
-  view.im_ = im;
-  return view;
 }
 
 }  // namespace dqma::linalg

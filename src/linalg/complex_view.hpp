@@ -47,12 +47,6 @@ class ConstComplexView {
   ConstComplexView(const CMat& m);              // NOLINT(runtime/explicit)
   ConstComplexView(const SplitBuffer& b);       // NOLINT(runtime/explicit)
 
-  /// Raw-pointer factories for scratch buffers inside kernels.
-  static ConstComplexView aos(const Complex* p, long long extent,
-                              long long cols = 0);
-  static ConstComplexView soa(const double* re, const double* im,
-                              long long extent, long long cols = 0);
-
   Layout layout() const { return layout_; }
   /// Total number of complex entries.
   long long extent() const { return extent_; }
@@ -98,10 +92,6 @@ class MutComplexView : public ConstComplexView {
   MutComplexView(CMat& m);                      // NOLINT(runtime/explicit)
   MutComplexView(SplitBuffer& b);               // NOLINT(runtime/explicit)
 
-  static MutComplexView aos(Complex* p, long long extent, long long cols = 0);
-  static MutComplexView soa(double* re, double* im, long long extent,
-                            long long cols = 0);
-
   Complex* aos_data() const {
     util::require(layout_ == Layout::kAoS, "aos_data() on an SoA view");
     return const_cast<Complex*>(aos_);
@@ -124,9 +114,6 @@ class MutComplexView : public ConstComplexView {
       const_cast<double*>(im_)[i] = v.imag();
     }
   }
-
- private:
-  MutComplexView() = default;
 };
 
 }  // namespace dqma::linalg

@@ -3,7 +3,7 @@
 //
 // Every local test and unitary in the protocols acts on a small subset of
 // registers. Embedding such a k-register operator into the full Hilbert
-// space (quantum::embed_operator) and multiplying dense D x D matrices
+// space and multiplying dense D x D matrices
 // costs O(D^3); applying it directly by stride arithmetic over the
 // RegisterShape costs O(D * b) per state-vector pass and O(D^2 * b) per
 // density-matrix pass, where b (<< D) is the local block dimension. This
@@ -30,9 +30,10 @@
 // function of the shape, so each (level, layout) pair is deterministic
 // across the kernel-thread axis.
 //
-// embed_operator remains as the reference implementation; the randomized
-// property tests in tests/local_ops_test.cpp cross-validate every entry
-// point against it on random shapes and register subsets.
+// The dense embedding survives only as the test oracle
+// (dqma::test::embed_operator in tests/support); the randomized property
+// tests in tests/local_ops_test.cpp cross-validate every entry point
+// against it on random shapes and register subsets.
 #pragma once
 
 #include <vector>

@@ -21,7 +21,6 @@
 #include "sweep/trajectory.hpp"
 #include "util/parse.hpp"
 #include "util/require.hpp"
-#include "util/scratch.hpp"
 #include "util/table.hpp"
 
 #ifndef _WIN32
@@ -397,12 +396,6 @@ void print_usage(std::ostream& os) {
         "avx512|native\n"
         "                           (default: DQMA_SIMD env var, else CPU "
         "detection)\n"
-        "  --scratch <dir>          enable memory-mapped scratch tiles in "
-        "<dir>,\n"
-        "                           unlocking dense density passes past the "
-        "in-core\n"
-        "                           cap (default: DQMA_SCRATCH_DIR env var, "
-        "else off)\n"
         "  --coordinate <dir>       elastic worker mode: lease work units "
         "from the\n"
         "                           shared directory <dir> (any number of "
@@ -476,10 +469,6 @@ bool parse_cli(int argc, const char* const* argv, CliOptions& options,
       const char* value = next_value("--resume");
       if (value == nullptr) return false;
       options.resume_path = value;
-    } else if (arg == "--scratch") {
-      const char* value = next_value("--scratch");
-      if (value == nullptr) return false;
-      options.scratch = value;
     } else if (arg == "--coordinate") {
       const char* value = next_value("--coordinate");
       if (value == nullptr) return false;
@@ -816,12 +805,6 @@ int cli_main(int argc, const char* const* argv) {
   } catch (const std::exception& e) {
     std::cerr << "dqma_bench: " << e.what() << "\n";
     return 2;
-  }
-  // Scratch opt-in for tiled density passes: the flag wins over the
-  // DQMA_SCRATCH_DIR environment variable (which ScratchTile reads lazily
-  // when no override is set).
-  if (!options.scratch.empty()) {
-    util::ScratchTile::set_directory(options.scratch);
   }
 
   if (!options.merge_inputs.empty()) {

@@ -235,7 +235,6 @@ struct CliOptions {
   std::string compare_path;               ///< baseline document
   double tolerance = 1e-9;                ///< --compare floating tolerance
   std::string simd;  ///< SIMD level override; empty => DQMA_SIMD / native
-  std::string scratch;  ///< scratch dir for tiled passes; empty => env var
   std::string coordinate_dir;  ///< elastic mode when non-empty
   std::string worker_id;       ///< --worker; empty => generated
   int lease_timeout_ms = 60000;  ///< --lease-timeout

@@ -8,7 +8,7 @@
 //   [site:]action[:arg]
 //
 // where `site` narrows the clause to one instrumented subsystem
-// (checkpoint, lease, scratch, serve; omitted = every site) and `action`
+// (checkpoint, lease, serve; omitted = every site) and `action`
 // is one of
 //
 //   crash_after:N   _exit(137) on the N-th matching probe (SIGKILL-style:
@@ -16,23 +16,21 @@
 //   stall:MS        sleep MS milliseconds at every matching probe
 //   torn_write      tear the next matching write: the caller persists a
 //                   strict prefix of the record, then crashes
-//   enospc          every matching allocation fails as if the disk were full
 //
 // Examples: DQMA_FAULT=lease:crash_after:25 kills a coordinated worker in
 // the middle of its 25th lease-protocol step; DQMA_FAULT=checkpoint:torn_write
 // leaves a half-written JSONL line for the resume path to tolerate.
 //
 // Instrumented code calls point() at protocol steps (crash_after / stall
-// fire there), asks should_tear() before durable writes, and
-// should_fail_alloc() before reserving disk space. Probe counters are
-// process-wide and thread-safe; which concurrent probe hits N is scheduling
-// dependent, which is the point — recovery must be byte-exact for any kill
-// schedule.
+// fire there) and asks should_tear() before durable writes. Probe counters
+// are process-wide and thread-safe; which concurrent probe hits N is
+// scheduling dependent, which is the point — recovery must be byte-exact
+// for any kill schedule.
 #pragma once
 
 namespace dqma::util::fault {
 
-enum class Site { kCheckpoint = 0, kLease, kScratch, kServe };
+enum class Site { kCheckpoint = 0, kLease, kServe };
 
 /// Probe at a protocol step: may stall, may never return (crash_after).
 void point(Site site);
@@ -41,9 +39,6 @@ void point(Site site);
 /// writes a strict prefix of the record, flushes it, then calls
 /// crash_now() — the torn record must be observable by the recovery path.
 bool should_tear(Site site);
-
-/// True when a disk allocation at `site` should fail as if ENOSPC.
-bool should_fail_alloc(Site site);
 
 /// Immediate SIGKILL-style process exit (status 137), skipping destructors
 /// and atexit handlers. Used by torn-write call sites after the partial

@@ -12,6 +12,7 @@
 #include "dqma/noise.hpp"
 #include "dqma/runner.hpp"
 #include "quantum/random.hpp"
+#include "support/circuit_oracle.hpp"
 #include "support/test_support.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
@@ -30,6 +31,7 @@ using dqma::protocol::rotation_attack;
 using dqma::test::chain_swap_overlap_accept;
 using dqma::test::haar_states;
 using dqma::test::random_unequal_pair;
+using dqma::test::state_vector_circuit_accept;
 using dqma::test::uniform_proof;
 using dqma::util::Bitstring;
 using dqma::util::Rng;
@@ -80,13 +82,13 @@ TEST(CircuitSimTest, MatchesExactEngineOnRotationAttack) {
   EXPECT_NEAR(est.mean, dp, 4.0 * est.half_width_95 + 0.01);
 }
 
-TEST(CircuitSimTest, BatchedReplaysStateVectorDrawSequence) {
-  // The batched path precomputes the coin-conditioned closed-form test
-  // probabilities but draws in the identical order; from the same seed both
-  // strategies therefore walk the same sample paths, and the means agree to
-  // numerical noise of the per-test probabilities (the probability of a
-  // uniform draw landing inside that window is ~1e-13 per draw).
-  using dqma::protocol::CircuitMcStrategy;
+TEST(CircuitSimTest, MatchesStateVectorOracleDrawForDraw) {
+  // The library precomputes the coin-conditioned closed-form test
+  // probabilities; the oracle simulates every shot on the state-vector
+  // machine but draws in the identical order. From the same seed both
+  // therefore walk the same sample paths, and the means agree to numerical
+  // noise of the per-test probabilities (the probability of a uniform draw
+  // landing inside that window is ~1e-13 per draw).
   Rng rng(5);
   for (int trial = 0; trial < 3; ++trial) {
     const CVec source = dqma::quantum::haar_state(5, rng);
@@ -94,25 +96,24 @@ TEST(CircuitSimTest, BatchedReplaysStateVectorDrawSequence) {
     PathProof proof;
     proof.reg0 = haar_states(5, 3, rng);
     proof.reg1 = haar_states(5, 3, rng);
-    Rng rng_sv(1000 + trial);
-    Rng rng_batched(1000 + trial);
-    const auto sv = circuit_eq_path_accept(source, target, proof, rng_sv,
-                                           2000, CircuitMcStrategy::kStateVector);
-    const auto batched = circuit_eq_path_accept(
-        source, target, proof, rng_batched, 2000, CircuitMcStrategy::kBatched);
-    EXPECT_NEAR(sv.mean, batched.mean, 1e-9) << "trial " << trial;
-    EXPECT_NEAR(sv.half_width_95, batched.half_width_95, 1e-9);
+    Rng rng_oracle(1000 + trial);
+    Rng rng_library(1000 + trial);
+    const auto oracle = state_vector_circuit_accept(source, target, proof,
+                                                    rng_oracle, 2000);
+    const auto library =
+        circuit_eq_path_accept(source, target, proof, rng_library, 2000);
+    EXPECT_NEAR(oracle.mean, library.mean, 1e-9) << "trial " << trial;
+    EXPECT_NEAR(oracle.half_width_95, library.half_width_95, 1e-9);
     // Both consumed the same number of draws: the streams stay in lockstep.
-    EXPECT_EQ(rng_sv.next_u64(), rng_batched.next_u64());
+    EXPECT_EQ(rng_oracle.next_u64(), rng_library.next_u64());
   }
 }
 
-TEST(CircuitSimTest, BatchedHonestRunAcceptsAlways) {
+TEST(CircuitSimTest, OracleHonestRunAcceptsAlways) {
   Rng rng(6);
   const CVec psi = dqma::quantum::haar_state(4, rng);
-  const auto est = circuit_eq_path_accept(
-      psi, psi, uniform_proof(psi, 3), rng, 300,
-      dqma::protocol::CircuitMcStrategy::kBatched);
+  const auto est =
+      state_vector_circuit_accept(psi, psi, uniform_proof(psi, 3), rng, 300);
   EXPECT_DOUBLE_EQ(est.mean, 1.0);
 }
 

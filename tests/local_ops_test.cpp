@@ -33,7 +33,6 @@ using dqma::quantum::apply_left_local;
 using dqma::quantum::apply_local;
 using dqma::quantum::apply_right_local;
 using dqma::quantum::Density;
-using dqma::quantum::embed_operator;
 using dqma::quantum::expectation_local;
 using dqma::quantum::haar_state;
 using dqma::quantum::haar_unitary;
@@ -42,6 +41,7 @@ using dqma::quantum::project_local;
 using dqma::quantum::PureState;
 using dqma::quantum::RegisterShape;
 using dqma::quantum::sandwich_local;
+using dqma::test::embed_operator;
 using dqma::test::PatternExpansion;
 using dqma::test::SeededTest;
 using dqma::util::Rng;

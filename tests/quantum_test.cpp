@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
 
 #include "quantum/density.hpp"
 #include "quantum/distance.hpp"
@@ -12,6 +15,7 @@
 #include "quantum/unitary.hpp"
 #include "support/test_support.hpp"
 #include "util/rng.hpp"
+#include "util/tolerance.hpp"
 
 namespace {
 
@@ -148,6 +152,63 @@ TEST(DensityTest, MixWithInterpolatesTrace) {
   // 0.25 * |0><0| + 0.75 * I/2: diagonal (0.625, 0.375).
   EXPECT_NEAR(b.matrix()(0, 0).real(), 0.625, 1e-10);
   EXPECT_NEAR(b.matrix()(1, 1).real(), 0.375, 1e-10);
+}
+
+TEST(DensityTest, FactoriesRejectDimensionsAboveDenseCap) {
+  // One qubit past kMaxDenseExactDim: both factories refuse before any
+  // D x D allocation.
+  constexpr int kQubits = 15;
+  static_assert((1 << kQubits) > dqma::util::kMaxDenseExactDim);
+  const RegisterShape shape(std::vector<int>(kQubits, 2));
+  EXPECT_THROW(Density::maximally_mixed(shape), std::invalid_argument);
+  const std::vector<double> probs(std::size_t{1} << kQubits,
+                                  1.0 / static_cast<double>(1 << kQubits));
+  EXPECT_THROW(Density::diagonal(shape, probs), std::invalid_argument);
+}
+
+TEST(DensityTest, DiagonalMixtureMatchesClosedFormThroughApplyAndReduce) {
+  // A 10-qubit diagonal mixture pushed through apply / expectation /
+  // reduce_to, against closed forms built from the probabilities alone.
+  constexpr int kQubits = 10;
+  constexpr long long kDim = 1LL << kQubits;
+  std::vector<double> probs(static_cast<std::size_t>(kDim));
+  double sum = 0.0;
+  for (long long i = 0; i < kDim; ++i) {
+    probs[static_cast<std::size_t>(i)] =
+        1.0 + 0.5 * std::cos(0.001 * static_cast<double>(i));
+    sum += probs[static_cast<std::size_t>(i)];
+  }
+  for (double& p : probs) p /= sum;
+  Density rho =
+      Density::diagonal(RegisterShape(std::vector<int>(kQubits, 2)), probs);
+
+  Rng rng(24);
+  const CMat u = haar_unitary(4, rng);
+  rho.apply(u, {0, 1});
+  CMat effect(4, 4);
+  effect(0, 0) = Complex{1.0, 0.0};
+  // tr((E tensor I) U rho U^dagger) for diagonal rho is
+  // sum_i p_i M(a(i), a(i)) with M = U^dagger E U and a(i) the block index
+  // of registers {0, 1} (the two high-order qubits).
+  const CMat m = u.adjoint() * effect * u;
+  double expected_expectation = 0.0;
+  std::vector<double> block_sums(4, 0.0);
+  for (long long i = 0; i < kDim; ++i) {
+    const auto block = static_cast<std::size_t>(i >> (kQubits - 2));
+    expected_expectation +=
+        probs[static_cast<std::size_t>(i)] *
+        m(static_cast<int>(block), static_cast<int>(block)).real();
+    block_sums[block] += probs[static_cast<std::size_t>(i)];
+  }
+  EXPECT_NEAR(rho.expectation(effect, {0, 1}), expected_expectation, 1e-12);
+
+  // Reducing to registers {0, 1} gives U diag(block sums) U^dagger.
+  CMat diag(4, 4);
+  for (int a = 0; a < 4; ++a) {
+    diag(a, a) = Complex{block_sums[static_cast<std::size_t>(a)], 0.0};
+  }
+  EXPECT_DENSITY_NEAR_TOL(reduce_to(rho, {0, 1}).matrix(),
+                          (u * diag).times_adjoint(u), 1e-12);
 }
 
 TEST(DistanceTest, IdenticalStatesHaveZeroDistanceUnitFidelity) {

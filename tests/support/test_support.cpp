@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "qtest/swap_test.hpp"
+#include "quantum/local_ops.hpp"
 #include "quantum/random.hpp"
+#include "util/require.hpp"
 
 namespace dqma::test {
 
@@ -179,6 +181,31 @@ double exact_best_product_accept(const CVec& hx, const CVec& hy, int r,
   const protocol::ExactEqPathAnalyzer analyzer(hx, hy, r);
   Rng rng(kTestSeed);
   return analyzer.best_product_accept(rng, restarts);
+}
+
+CMat embed_operator(const quantum::RegisterShape& shape, const CMat& op,
+                    const std::vector<int>& regs) {
+  const quantum::LocalOpPlan plan(shape, regs);
+  util::require(static_cast<long long>(op.rows()) == plan.block() &&
+                    static_cast<long long>(op.cols()) == plan.block(),
+                "embed_operator: operator dimension mismatch");
+  const auto& toff = plan.target_offsets();
+  const long long block = plan.block();
+  const long long total = plan.total_dim();
+  CMat out(static_cast<int>(total), static_cast<int>(total));
+  for (const long long base : plan.free_offsets()) {
+    for (long long i = 0; i < block; ++i) {
+      for (long long j = 0; j < block; ++j) {
+        const linalg::Complex v = op(static_cast<int>(i), static_cast<int>(j));
+        // Component-wise exact zero (not std::norm == 0, whose squares
+        // underflow on subnormal entries and would drop them).
+        if (v.real() == 0.0 && v.imag() == 0.0) continue;
+        out(static_cast<int>(base + toff[static_cast<std::size_t>(i)]),
+            static_cast<int>(base + toff[static_cast<std::size_t>(j)])) = v;
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<std::uint64_t> reference_stream(std::uint64_t seed, int count) {

@@ -7,7 +7,8 @@
 //    from src/util/tolerance.hpp instead of per-test literals;
 //  * protocol-run harness helpers wrapping the chain DP engine
 //    (dqma/runner.hpp) and the exact acceptance-operator engine
-//    (dqma/exact_runner.hpp).
+//    (dqma/exact_runner.hpp);
+//  * the dense operator embedding, the oracle for quantum/local_ops.hpp.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -158,6 +159,17 @@ double exact_worst_case_accept(const CVec& hx, const CVec& hy, int r);
 /// deterministic internal seed.
 double exact_best_product_accept(const CVec& hx, const CVec& hy, int r,
                                  int restarts = 8);
+
+// ---------------------------------------------------------------------------
+// Reference operators
+// ---------------------------------------------------------------------------
+
+/// Embeds `op` (acting on the listed registers, in the listed order) into
+/// the full Hilbert space of `shape` as op tensor identity-on-the-rest.
+/// The oracle for the matrix-free local-operator engine
+/// (quantum/local_ops.hpp), which never materializes this D x D embedding.
+CMat embed_operator(const quantum::RegisterShape& shape, const CMat& op,
+                    const std::vector<int>& regs);
 
 // ---------------------------------------------------------------------------
 // Cross-translation-unit determinism reference
