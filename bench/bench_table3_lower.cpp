@@ -236,7 +236,7 @@ void run(sweep::ExperimentContext& ctx) {
     // Few huge points: running them as sweep jobs would serialize the
     // kernels inside each job (the nesting contract) and leave N - 1
     // threads idle on the largest instance. serial_sweep runs them on
-    // this thread instead, so the power-iteration matvecs and stride
+    // this thread instead, so the Lanczos matvecs and stride
     // kernels inside fan out across the kernel pool — with sweep()'s
     // exact seeding and recording, so the values match the pooled
     // execution byte for byte.
@@ -377,79 +377,6 @@ void run(sweep::ExperimentContext& ctx) {
                      Table::fmt(points[i].get_int("r")),
                      Table::fmt(m.get_int("upper_total_proof")),
                      Table::fmt(m.get_double("lower_bound"))});
-    }
-    table.print(out);
-  }
-
-  {
-    util::print_banner(
-        out, "Spectral engine: Lanczos vs power on the acceptance operators",
-        "Both solvers of linalg/lanczos.hpp on the Row 4 / Row 4+ operators\n"
-        "at tol 1e-9: the top eigenvalues agree to 1e-9 while the\n"
-        "deterministic Lanczos engine needs a fraction of the operator\n"
-        "applications. Matvec counts are exact integers (level- and\n"
-        "thread-invariant by the determinism contract).");
-    std::vector<sweep::ParamPoint> all_points;
-    for (const int r : {2, 3, 4, 5}) {
-      all_points.push_back(sweep::ParamPoint().set("d", 2).set("r", r));
-    }
-    for (const auto& [d, r] :
-         {std::pair{4, 4}, std::pair{6, 4}, std::pair{4, 5}}) {
-      all_points.push_back(sweep::ParamPoint().set("d", d).set("r", r));
-    }
-    const auto points = ctx.smoke_select(
-        all_points, {sweep::ParamPoint().set("d", 2).set("r", 2),
-                     sweep::ParamPoint().set("d", 2).set("r", 3),
-                     sweep::ParamPoint().set("d", 6).set("r", 4)});
-    const auto results = ctx.serial_sweep(
-        "eigensolver_agreement", points,
-        [](const sweep::ParamPoint& p, Rng&) {
-          const int d = static_cast<int>(p.get_int("d"));
-          const int r = static_cast<int>(p.get_int("r"));
-          CVec a = CVec::basis(d, 0);
-          CVec b(d);
-          b[0] = linalg::Complex{0.2, 0.0};
-          b[1] = linalg::Complex{std::sqrt(1.0 - 0.04), 0.0};
-          const ExactEqPathAnalyzer exact(a, b, r);
-          linalg::SpectralOptions lanczos_opts;
-          lanczos_opts.method = linalg::SpectralOptions::Method::kLanczos;
-          lanczos_opts.max_iters = 20000;
-          lanczos_opts.tol = 1e-9;
-          linalg::SpectralOptions power_opts = lanczos_opts;
-          power_opts.method = linalg::SpectralOptions::Method::kPower;
-          linalg::SpectralStats lanczos_stats;
-          linalg::SpectralStats power_stats;
-          const double via_lanczos =
-              exact.worst_case_accept(lanczos_opts, &lanczos_stats);
-          const double via_power =
-              exact.worst_case_accept(power_opts, &power_stats);
-          return sweep::Metrics()
-              .set("proof_dim", exact.proof_dim())
-              .set("lanczos_value", via_lanczos)
-              .set("power_value", via_power)
-              .set("value_diff", std::abs(via_lanczos - via_power))
-              .set("lanczos_matvecs", lanczos_stats.matvecs)
-              .set("power_matvecs", power_stats.matvecs)
-              .set("lanczos_converged", lanczos_stats.converged)
-              .set("power_converged", power_stats.converged);
-        });
-    Table table({"d", "r", "proof dim", "Lanczos", "power", "|diff|",
-                 "L matvecs", "P matvecs", "P/L"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (results[i].skipped) continue;
-      const auto& m = results[i].metrics;
-      const double ratio =
-          static_cast<double>(m.get_int("power_matvecs")) /
-          static_cast<double>(std::max(1LL, m.get_int("lanczos_matvecs")));
-      table.add_row({Table::fmt(points[i].get_int("d")),
-                     Table::fmt(points[i].get_int("r")),
-                     Table::fmt(m.get_int("proof_dim")),
-                     Table::fmt(m.get_double("lanczos_value")),
-                     Table::fmt(m.get_double("power_value")),
-                     Table::fmt(m.get_double("value_diff")),
-                     Table::fmt(m.get_int("lanczos_matvecs")),
-                     Table::fmt(m.get_int("power_matvecs")),
-                     Table::fmt(ratio, 1)});
     }
     table.print(out);
   }

@@ -467,27 +467,22 @@ void run(sweep::ExperimentContext& ctx) {
 
   {
     util::print_banner(
-        out, "eigensolver: power vs Lanczos at power-of-two proof dims",
-        "Both spectral solvers (linalg/lanczos.hpp) on matrix-free\n"
+        out, "eigensolver: Lanczos at power-of-two proof dims",
+        "The spectral solver (linalg/lanczos.hpp) on matrix-free\n"
         "acceptance operators at proof dims 2^10 .. 2^16, tol 1e-9.\n"
         "Matvec counts are exact integers (level- and thread-invariant);\n"
         "wall times ride in the JSON under --timings.");
     std::vector<sweep::ParamPoint> points;
-    const auto add_pair = [&](int d, int r) {
-      for (const char* solver : {"power", "lanczos"}) {
-        points.push_back(sweep::ParamPoint()
-                             .set("d", d)
-                             .set("r", r)
-                             .set("solver", solver));
-      }
+    const auto add_point = [&](int d, int r) {
+      points.push_back(sweep::ParamPoint().set("d", d).set("r", r));
     };
     // (d, r) -> proof dim d^{2(r-1)}: 2^10, 2^12, 2^14, 2^16. Smoke stops
     // at 2^12; the two large instances are full-run only.
-    add_pair(32, 2);
-    add_pair(8, 3);
+    add_point(32, 2);
+    add_point(8, 3);
     if (!ctx.smoke()) {
-      add_pair(128, 2);
-      add_pair(16, 3);
+      add_point(128, 2);
+      add_point(16, 3);
     }
     // Few huge points, one threaded matvec engine inside each: run them
     // serially so the kernels fan out (same contract as the table3_lower
@@ -503,9 +498,6 @@ void run(sweep::ExperimentContext& ctx) {
           const protocol::ExactEqPathAnalyzer exact(
               a, b, r, protocol::ExactEqPathAnalyzer::Mode::kMatrixFree);
           linalg::SpectralOptions opts;
-          opts.method = p.get_string("solver") == "power"
-                            ? linalg::SpectralOptions::Method::kPower
-                            : linalg::SpectralOptions::Method::kLanczos;
           opts.max_iters = 20000;
           opts.tol = 1e-9;
           linalg::SpectralStats stats;
@@ -516,15 +508,14 @@ void run(sweep::ExperimentContext& ctx) {
               .set("matvecs", stats.matvecs)
               .set("converged", stats.converged);
         });
-    Table etable({"d", "r", "proof dim", "solver", "top eigenvalue",
-                  "matvecs", "converged"});
+    Table etable({"d", "r", "proof dim", "top eigenvalue", "matvecs",
+                  "converged"});
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (results[i].skipped) continue;
       const auto& m = results[i].metrics;
       etable.add_row({Table::fmt(points[i].get_int("d")),
                       Table::fmt(points[i].get_int("r")),
                       Table::fmt(m.get_int("proof_dim")),
-                      points[i].get_string("solver"),
                       Table::fmt(m.get_double("value")),
                       Table::fmt(m.get_int("matvecs")),
                       m.get_bool("converged") ? "yes" : "NO"});

@@ -271,7 +271,7 @@ double ExactEqPathAnalyzer::worst_case_accept(int max_iters) const {
 
 double ExactEqPathAnalyzer::worst_case_accept(
     const linalg::SpectralOptions& opts, linalg::SpectralStats* stats) const {
-  // Both operator forms feed the same spectral dispatcher: DenseOperator
+  // Both operator forms feed the same Lanczos solver: DenseOperator
   // packs op_ to split-complex once (SIMD matvec per iteration),
   // CallbackOperator streams through apply_acceptance.
   if (dense_) {

@@ -101,10 +101,9 @@ class ExactEqPathAnalyzer {
   CVec apply_acceptance(const CVec& psi) const;
 
   /// max over all (entangled) proofs of Pr[accept]. Top eigenvalue of the
-  /// acceptance operator via the spectral dispatcher (linalg/lanczos.hpp:
-  /// deterministic Lanczos, power fallback on tiny proof spaces);
-  /// `max_iters` bounds the work (the estimate is a lower bound that is
-  /// tight at convergence).
+  /// acceptance operator by the deterministic Lanczos solver
+  /// (linalg/lanczos.hpp) at every proof dimension; `max_iters` bounds the
+  /// work (the estimate is a lower bound that is tight at convergence).
   double worst_case_accept(int max_iters = 2000) const;
 
   /// Same quantity with explicit solver options; fills *stats (matvec

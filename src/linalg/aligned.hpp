@@ -73,29 +73,21 @@ using AlignedVector = std::vector<T, AlignedAllocator<T, kVectorAlignment>>;
 /// parts of a complex buffer in two separate aligned double arrays. This is
 /// the layout the explicitly vectorized kernels in linalg/simd.hpp want —
 /// a split complex multiply is four pure FMAs with no shuffles, where the
-/// interleaved std::complex layout needs permutes on every vector. Consumers
-/// never touch re()/im() directly in kernel code: they hand the buffer to a
-/// kernel as a ComplexView (linalg/complex_view.hpp), which carries the
-/// layout tag.
+/// interleaved std::complex layout needs permutes on every vector. It is
+/// internal kernel scratch only: kernels deinterleave into it, pass the raw
+/// re()/im() pointers to the SIMD kernels and interleave back. Every buffer
+/// that crosses a kernel boundary stays interleaved (AoS) behind a
+/// ComplexView (linalg/complex_view.hpp).
 class SplitBuffer {
  public:
   SplitBuffer() = default;
 
-  /// Zero-initialized flat buffer of `n` complex entries.
+  /// Zero-initialized buffer of `n` complex entries.
   explicit SplitBuffer(long long n)
       : re_(static_cast<std::size_t>(n), 0.0),
         im_(static_cast<std::size_t>(n), 0.0) {}
 
-  /// Zero-initialized matrix-shaped buffer (row-major, rows x cols); the
-  /// shape rides into views created from it.
-  SplitBuffer(long long rows, long long cols)
-      : re_(static_cast<std::size_t>(rows * cols), 0.0),
-        im_(static_cast<std::size_t>(rows * cols), 0.0),
-        cols_(cols) {}
-
   long long size() const { return static_cast<long long>(re_.size()); }
-  /// 0 for flat buffers; the row length for matrix-shaped ones.
-  long long cols() const { return cols_; }
 
   double* re() { return re_.data(); }
   double* im() { return im_.data(); }
@@ -105,7 +97,6 @@ class SplitBuffer {
  private:
   AlignedVector<double> re_;
   AlignedVector<double> im_;
-  long long cols_ = 0;
 };
 
 }  // namespace dqma::linalg

@@ -1,6 +1,5 @@
 #include "linalg/complex_view.hpp"
 
-#include "linalg/aligned.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -18,45 +17,18 @@ const Complex* first_or_null(const CMat& m) {
 }  // namespace
 
 ConstComplexView::ConstComplexView(const CVec& v) {
-  layout_ = Layout::kAoS;
   extent_ = v.dim();
-  aos_ = first_or_null(v);
+  data_ = first_or_null(v);
 }
 
 ConstComplexView::ConstComplexView(const CMat& m) {
-  layout_ = Layout::kAoS;
   extent_ = static_cast<long long>(m.rows()) * m.cols();
   cols_ = m.cols();
-  aos_ = first_or_null(m);
+  data_ = first_or_null(m);
 }
 
-ConstComplexView::ConstComplexView(const SplitBuffer& b) {
-  layout_ = Layout::kSoA;
-  extent_ = b.size();
-  cols_ = b.cols();
-  re_ = b.re();
-  im_ = b.im();
-}
+MutComplexView::MutComplexView(CVec& v) : ConstComplexView(v) {}
 
-MutComplexView::MutComplexView(CVec& v) {
-  layout_ = Layout::kAoS;
-  extent_ = v.dim();
-  aos_ = first_or_null(v);
-}
-
-MutComplexView::MutComplexView(CMat& m) {
-  layout_ = Layout::kAoS;
-  extent_ = static_cast<long long>(m.rows()) * m.cols();
-  cols_ = m.cols();
-  aos_ = first_or_null(m);
-}
-
-MutComplexView::MutComplexView(SplitBuffer& b) {
-  layout_ = Layout::kSoA;
-  extent_ = b.size();
-  cols_ = b.cols();
-  re_ = b.re();
-  im_ = b.im();
-}
+MutComplexView::MutComplexView(CMat& m) : ConstComplexView(m) {}
 
 }  // namespace dqma::linalg

@@ -209,11 +209,6 @@ double max_eigenvalue_psd(const CMat& a, int max_iters, double tol) {
   return max_eigenvalue_psd(DenseOperator(a), max_iters, tol);
 }
 
-double max_eigenvalue_psd(const std::function<CVec(const CVec&)>& apply,
-                          int dim, int max_iters, double tol) {
-  return max_eigenvalue_psd(CallbackOperator(apply, dim), max_iters, tol);
-}
-
 double top_eigenpair_psd(const CMat& a, CVec& vec, int max_iters, double tol) {
   return top_eigenpair_psd(DenseOperator(a), vec, max_iters, tol);
 }

@@ -1,6 +1,6 @@
 // Hermitian eigensolver (cyclic complex Jacobi) plus spectral utilities:
-// top eigenvalue via the iterative solvers in linalg/lanczos.hpp (Lanczos
-// with a power-iteration fallback), PSD matrix square root, trace norm.
+// top eigenvalue via the Lanczos solver in linalg/lanczos.hpp, PSD matrix
+// square root, trace norm.
 //
 // These are the numerical workhorses behind trace distance, fidelity, and
 // the exact worst-case-prover optimizer (which maximizes acceptance over all
@@ -31,9 +31,8 @@ EigenSystem eigh(const CMat& a);
 /// The single operator interface the iterative spectral routines consume.
 /// Dense matrices and matrix-free callbacks (the exact engine's acceptance
 /// operator on proof spaces too large to materialize) both implement it,
-/// so every backend — the Lanczos solver in linalg/lanczos.hpp and the
-/// power-iteration fallback — is written once against apply() + dim() and
-/// works for both. Non-owning adapters: the wrapped matrix/callback must
+/// so the Lanczos solver in linalg/lanczos.hpp is written once against
+/// apply() + dim() and works for both. Non-owning adapters: the wrapped matrix/callback must
 /// outlive the operator.
 class LinearOperator {
  public:
@@ -90,15 +89,14 @@ class CallbackOperator : public LinearOperator {
   int dim_;
 };
 
-/// Largest eigenvalue of a Hermitian PSD operator. Routes through the
-/// spectral dispatcher in linalg/lanczos.hpp with automatic method choice:
-/// deterministic Lanczos with full reorthogonalization above the tiny-dim
-/// threshold, power iteration below it. `max_iters` bounds work; `tol` is
-/// the residual threshold (||A x - theta x|| <= tol * max(1, theta)).
+/// Largest eigenvalue of a Hermitian PSD operator, by the deterministic
+/// Lanczos solver in linalg/lanczos.hpp at every dimension. `max_iters`
+/// bounds work; `tol` is the residual threshold
+/// (||A x - theta x|| <= tol * max(1, theta)).
 double max_eigenvalue_psd(const LinearOperator& op, int max_iters = 2000,
                           double tol = 1e-10);
 
-/// Top eigenpair of a Hermitian PSD operator via the same dispatcher:
+/// Top eigenpair of a Hermitian PSD operator via the same solver:
 /// returns the eigenvalue and writes the (normalized) eigenvector into
 /// `vec`. The cheap replacement for a full eigh() when only the dominant
 /// direction is needed (alternating-optimization inner loops).
@@ -108,10 +106,6 @@ double top_eigenpair_psd(const LinearOperator& op, CVec& vec,
 /// Convenience overload: wraps `a` in a DenseOperator.
 double max_eigenvalue_psd(const CMat& a, int max_iters = 2000,
                           double tol = 1e-10);
-
-/// Convenience overload: wraps the callback in a CallbackOperator.
-double max_eigenvalue_psd(const std::function<CVec(const CVec&)>& apply,
-                          int dim, int max_iters = 2000, double tol = 1e-10);
 
 /// Convenience overload: wraps `a` in a DenseOperator.
 double top_eigenpair_psd(const CMat& a, CVec& vec, int max_iters = 2000,

@@ -12,8 +12,7 @@ using util::require;
 
 namespace {
 
-/// Deterministic start vector shared by every iterative spectral routine:
-/// equal superposition with varying phases, so it overlaps any eigenvector
+/// Deterministic start vector: equal superposition with varying phases, so it overlaps any eigenvector
 /// with overwhelming probability. Fixed recipe — no RNG — so solves are
 /// reproducible across runs, threads, and shards.
 CVec spectral_start_vector(int n) {
@@ -26,11 +25,9 @@ CVec spectral_start_vector(int n) {
   return x;
 }
 
-/// The shared stop rule: an eigenpair estimate (theta, x) is accepted when
-/// the residual ||A x - theta x|| clears tol relative to the eigenvalue
-/// scale. Used by both Lanczos (via the beta * |y_last| bound) and power
-/// iteration (via the explicit residual), so the two backends certify the
-/// same quantity.
+/// The stop rule: an eigenpair estimate (theta, x) is accepted when the
+/// residual ||A x - theta x|| clears tol relative to the eigenvalue scale.
+/// Lanczos bounds the residual by beta * |y_last|.
 bool residual_converged(double resid, double theta, double tol) {
   return resid <= tol * std::max(1.0, std::abs(theta));
 }
@@ -144,143 +141,6 @@ std::vector<double> tridiag_top_eigenvector(const std::vector<double>& alpha,
   return y;
 }
 
-/// Power iteration with the residual-augmented stop rule: one operator
-/// application per iteration (iteration k's Rayleigh product is reused as
-/// iteration k+1's image); convergence needs BOTH a small Rayleigh-quotient
-/// delta and a small true residual, so near-degenerate spectra (clustered
-/// top eigenvalues) can no longer trip a spurious early exit.
-double power_iterate(const LinearOperator& op, int max_iters, double tol,
-                     CVec* vec_out, SpectralStats* stats) {
-  SpectralStats local;
-  const int dim = op.dim();
-  if (dim == 0) {
-    local.converged = true;
-    if (vec_out != nullptr) {
-      *vec_out = CVec();
-    }
-    if (stats != nullptr) {
-      *stats = local;
-    }
-    return 0.0;
-  }
-  CVec x = spectral_start_vector(dim);
-  CVec image(dim);
-  op.apply_into(x, image);
-  ++local.matvecs;
-  double lambda = 0.0;
-  for (int it = 0; it < max_iters; ++it) {
-    local.iterations = it + 1;
-    const double norm = image.norm();
-    if (norm < 1e-300) {
-      // The operator annihilates the iterate; spectrum is ~0 on it.
-      local.converged = true;
-      lambda = 0.0;
-      break;
-    }
-    const double inv = 1.0 / norm;
-    for (int i = 0; i < dim; ++i) {
-      x[i] = image[i] * inv;
-    }
-    op.apply_into(x, image);
-    ++local.matvecs;
-    const double next = std::real(x.dot(image));
-    double resid_sq = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      resid_sq += std::norm(image[i] - next * x[i]);
-    }
-    const bool done =
-        std::abs(next - lambda) <= tol * std::max(1.0, next) &&
-        residual_converged(std::sqrt(resid_sq), next, tol);
-    lambda = next;
-    if (done && it > 2) {
-      local.converged = true;
-      break;
-    }
-  }
-  if (vec_out != nullptr) {
-    *vec_out = x;
-  }
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return lambda;
-}
-
-/// Deterministic Lanczos with full reorthogonalization. Per step: one
-/// operator application, two CGS passes against the whole stored basis in
-/// ascending index order (always two — no norm-triggered branching, so the
-/// instruction stream is input-independent), then the top Ritz pair of the
-/// tridiagonal and the standard beta * |y_last| residual bound. Breakdown
-/// (beta ~ 0) means the Krylov space is exhausted and the tridiagonal is
-/// exact — rank-deficient and tiny-dimension operators converge that way.
-double lanczos_iterate(const LinearOperator& op, int max_iters, double tol,
-                       CVec* vec_out, SpectralStats* stats) {
-  SpectralStats local;
-  local.used_lanczos = true;
-  const int dim = op.dim();
-  if (dim == 0) {
-    local.converged = true;
-    if (vec_out != nullptr) {
-      *vec_out = CVec();
-    }
-    if (stats != nullptr) {
-      *stats = local;
-    }
-    return 0.0;
-  }
-  std::vector<CVec> basis;
-  basis.push_back(spectral_start_vector(dim));
-  std::vector<double> alpha;
-  std::vector<double> beta;  // beta[j] couples basis[j] and basis[j + 1]
-  std::vector<double> ritz;  // top eigenvector of the current tridiagonal
-  CVec w(dim);
-  const int m_max = std::max(1, std::min({dim, max_iters, kMaxLanczosBasis}));
-  double theta = 0.0;
-  for (int j = 0; j < m_max; ++j) {
-    op.apply_into(basis[static_cast<std::size_t>(j)], w);
-    ++local.matvecs;
-    double aj = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < basis.size(); ++i) {
-        const Complex h = basis[i].dot(w);
-        if (static_cast<int>(i) == j) {
-          aj += h.real();
-        }
-        axpy(-h, basis[i], w);
-      }
-    }
-    alpha.push_back(aj);
-    local.iterations = j + 1;
-    const double bj = w.norm();
-    theta = tridiag_max_eigenvalue(alpha, beta);
-    ritz = tridiag_top_eigenvector(alpha, beta, theta);
-    if (residual_converged(bj * std::abs(ritz.back()), theta, tol) ||
-        bj <= 1e-14 * std::max(1.0, std::abs(theta))) {
-      local.converged = true;
-      break;
-    }
-    if (j + 1 >= m_max) {
-      break;
-    }
-    beta.push_back(bj);
-    basis.push_back(w * Complex{1.0 / bj, 0.0});
-  }
-  if (vec_out != nullptr) {
-    CVec x(dim);
-    for (std::size_t i = 0; i < ritz.size(); ++i) {
-      axpy(Complex{ritz[i], 0.0}, basis[i], x);
-    }
-    const double nrm = x.norm();
-    // The Ritz combination of an orthonormal basis with a unit coefficient
-    // vector has norm ~1; guard the pathological collapse anyway.
-    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
-  }
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return theta;
-}
-
 }  // namespace
 
 double tridiag_max_eigenvalue(const std::vector<double>& alpha,
@@ -316,15 +176,80 @@ double tridiag_max_eigenvalue(const std::vector<double>& alpha,
   return 0.5 * (lo + hi);
 }
 
+/// Deterministic Lanczos with full reorthogonalization. Per step: one
+/// operator application, two CGS passes against the whole stored basis in
+/// ascending index order (always two — no norm-triggered branching, so the
+/// instruction stream is input-independent), then the top Ritz pair of the
+/// tridiagonal and the standard beta * |y_last| residual bound. Breakdown
+/// (beta ~ 0) means the Krylov space is exhausted and the tridiagonal is
+/// exact — rank-deficient and tiny-dimension operators converge that way,
+/// in at most dim steps.
 double top_eigenvalue_psd(const LinearOperator& op, const SpectralOptions& opts,
                           CVec* vec_out, SpectralStats* stats) {
-  using Method = SpectralOptions::Method;
-  const bool use_lanczos =
-      opts.method == Method::kLanczos ||
-      (opts.method == Method::kAuto && op.dim() >= kLanczosMinDim);
-  return use_lanczos
-             ? lanczos_iterate(op, opts.max_iters, opts.tol, vec_out, stats)
-             : power_iterate(op, opts.max_iters, opts.tol, vec_out, stats);
+  SpectralStats local;
+  const int dim = op.dim();
+  if (dim == 0) {
+    local.converged = true;
+    if (vec_out != nullptr) {
+      *vec_out = CVec();
+    }
+    if (stats != nullptr) {
+      *stats = local;
+    }
+    return 0.0;
+  }
+  std::vector<CVec> basis;
+  basis.push_back(spectral_start_vector(dim));
+  std::vector<double> alpha;
+  std::vector<double> beta;  // beta[j] couples basis[j] and basis[j + 1]
+  std::vector<double> ritz;  // top eigenvector of the current tridiagonal
+  CVec w(dim);
+  const int m_max =
+      std::max(1, std::min({dim, opts.max_iters, kMaxLanczosBasis}));
+  double theta = 0.0;
+  for (int j = 0; j < m_max; ++j) {
+    op.apply_into(basis[static_cast<std::size_t>(j)], w);
+    ++local.matvecs;
+    double aj = 0.0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < basis.size(); ++i) {
+        const Complex h = basis[i].dot(w);
+        if (static_cast<int>(i) == j) {
+          aj += h.real();
+        }
+        axpy(-h, basis[i], w);
+      }
+    }
+    alpha.push_back(aj);
+    local.iterations = j + 1;
+    const double bj = w.norm();
+    theta = tridiag_max_eigenvalue(alpha, beta);
+    ritz = tridiag_top_eigenvector(alpha, beta, theta);
+    if (residual_converged(bj * std::abs(ritz.back()), theta, opts.tol) ||
+        bj <= 1e-14 * std::max(1.0, std::abs(theta))) {
+      local.converged = true;
+      break;
+    }
+    if (j + 1 >= m_max) {
+      break;
+    }
+    beta.push_back(bj);
+    basis.push_back(w * Complex{1.0 / bj, 0.0});
+  }
+  if (vec_out != nullptr) {
+    CVec x(dim);
+    for (std::size_t i = 0; i < ritz.size(); ++i) {
+      axpy(Complex{ritz[i], 0.0}, basis[i], x);
+    }
+    const double nrm = x.norm();
+    // The Ritz combination of an orthonormal basis with a unit coefficient
+    // vector has norm ~1; guard the pathological collapse anyway.
+    *vec_out = (nrm > 1e-12) ? x * Complex{1.0 / nrm, 0.0} : basis.front();
+  }
+  if (stats != nullptr) {
+    *stats = local;
+  }
+  return theta;
 }
 
 }  // namespace dqma::linalg

@@ -1,6 +1,8 @@
-// Deterministic Krylov layer for the iterative spectral routines: a Lanczos
-// eigensolver with full reorthogonalization against the stored basis, plus
-// the shared power-iteration fallback and the dispatch glue between them.
+// The library's one top-eigenvalue solver: deterministic Lanczos with full
+// reorthogonalization against the stored basis, at every dimension. Its
+// breakdown rule ends tiny and rank-deficient solves exactly, so it needs
+// no small-dimension fallback. (Power iteration survives only as a test
+// oracle, tests/support/power_iteration.hpp.)
 //
 // Determinism contract (same as the SIMD kernels, linalg/simd.hpp): for a
 // fixed dispatch level the solver is byte-identical across the kernel-thread
@@ -22,26 +24,15 @@ namespace dqma::linalg {
 /// (benchmarks, the exact engine) can record matvec counts as JSON metrics.
 struct SpectralStats {
   long long matvecs = 0;  ///< LinearOperator::apply_into invocations
-  int iterations = 0;     ///< outer iterations (Lanczos steps / power steps)
+  int iterations = 0;     ///< Lanczos steps
   bool converged = false;
-  bool used_lanczos = false;
 };
 
-/// Solver selection and stopping thresholds for top_eigenvalue_psd.
+/// Stopping thresholds for top_eigenvalue_psd.
 struct SpectralOptions {
-  enum class Method {
-    kAuto,     ///< Lanczos above kLanczosMinDim, power iteration below
-    kPower,    ///< always power iteration
-    kLanczos,  ///< always Lanczos (tiny dims handled by Krylov exhaustion)
-  };
-  Method method = Method::kAuto;
   int max_iters = 2000;
   double tol = 1e-10;  ///< residual threshold: ||A x - theta x|| <= tol * max(1, theta)
 };
-
-/// Below this dimension kAuto keeps power iteration: the Krylov machinery
-/// cannot beat a handful of O(d^2) matvecs on operators this small.
-inline constexpr int kLanczosMinDim = 17;
 
 /// Lanczos basis cap: full reorthogonalization stores the basis, so memory
 /// is (cap * dim) complex entries. Any PSD operator met in practice
@@ -49,9 +40,9 @@ inline constexpr int kLanczosMinDim = 17;
 inline constexpr int kMaxLanczosBasis = 350;
 
 /// Largest eigenvalue (and optionally the matching normalized Ritz vector)
-/// of a Hermitian PSD operator. Dispatches on opts.method; fills *stats
-/// when given. This is the single entry point the legacy
-/// max_eigenvalue_psd / top_eigenpair_psd wrappers route through.
+/// of a Hermitian PSD operator, by Lanczos; fills *stats when given. This
+/// is the single entry point the max_eigenvalue_psd / top_eigenpair_psd
+/// wrappers route through.
 double top_eigenvalue_psd(const LinearOperator& op, const SpectralOptions& opts,
                           CVec* vec_out = nullptr,
                           SpectralStats* stats = nullptr);

@@ -308,7 +308,7 @@ CVec CMat::operator*(const CVec& v) const {
   require(cols_ == v.dim(), "CMat::operator*(CVec): shape mismatch");
   CVec out(rows_);
   // Row panels in parallel; each output entry is one full serial dot, so
-  // the matvec (and everything built on it, e.g. dense power iteration) is
+  // the matvec (and everything built on it, e.g. the dense Lanczos solve) is
   // thread-count-invariant.
   sweep::parallel_for(
       static_cast<std::size_t>(rows_),

@@ -521,25 +521,6 @@ Complex dot(Level level, bool conj_a, const double* ar, const double* ai,
   return dot_scalar(conj_a, ar, ai, br, bi, n);
 }
 
-void convert(Level level, ConstComplexView src, MutComplexView dst) {
-  util::require(src.extent() == dst.extent(),
-                "convert: extent mismatch between views");
-  const long long n = src.extent();
-  if (n == 0) {
-    return;
-  }
-  if (src.layout() == Layout::kAoS && dst.layout() == Layout::kSoA) {
-    deinterleave(level, src.aos_data(), n, dst.re(), dst.im());
-  } else if (src.layout() == Layout::kSoA && dst.layout() == Layout::kAoS) {
-    interleave(level, src.re(), src.im(), n, dst.aos_data());
-  } else if (src.layout() == Layout::kAoS) {
-    std::copy(src.aos_data(), src.aos_data() + n, dst.aos_data());
-  } else {
-    std::copy(src.re(), src.re() + n, dst.re());
-    std::copy(src.im(), src.im() + n, dst.im());
-  }
-}
-
 PackedOp pack_operator(const CMat& op, bool transpose, bool conjugate) {
   PackedOp packed;
   packed.rows = transpose ? op.cols() : op.rows();

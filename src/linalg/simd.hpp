@@ -27,7 +27,6 @@
 #include <string>
 
 #include "linalg/aligned.hpp"
-#include "linalg/complex_view.hpp"
 
 namespace dqma::linalg {
 class CMat;
@@ -90,13 +89,9 @@ class LevelScope {
 };
 
 // ---------------------------------------------------------------------------
-// Kernels. All take split re/im double arrays; views convert at the edges.
+// Kernels. All take split re/im double arrays; callers deinterleave their
+// interleaved buffers into SplitBuffer scratch and interleave back.
 // ---------------------------------------------------------------------------
-
-/// Split-array elementwise copy with layout conversion: AoS<->SoA in either
-/// direction (vectorized shuffles), same-layout as plain copies. Extents
-/// must match.
-void convert(Level level, ConstComplexView src, MutComplexView dst);
 
 /// dst_re/dst_im[i] = src[i].real()/.imag() for i in [0, n).
 void deinterleave(Level level, const Complex* src, long long n, double* re,

@@ -11,7 +11,6 @@
 namespace dqma::quantum {
 
 using linalg::ConstComplexView;
-using linalg::Layout;
 using linalg::MutComplexView;
 using linalg::SplitBuffer;
 using util::require;
@@ -69,16 +68,11 @@ void require_op_shape(const LocalOpPlan& plan, const CMat& op,
           what);
 }
 
-/// Whether a kernel should take the split-complex path: always for SoA
-/// views (the scalar loops are AoS-only), and for AoS views whenever a
-/// vector level is active and the packed operator is dense enough to beat
-/// the scalar zero-skip loop. Pure function of (level, layout, op) — never
-/// thread-count dependent.
-bool use_split_path(simd::Level level, Layout layout,
-                    const simd::PackedOp& packed) {
-  if (layout == Layout::kSoA) {
-    return true;
-  }
+/// Whether a kernel should take the split-complex path: whenever a vector
+/// level is active and the packed operator is dense enough to beat the
+/// scalar zero-skip loop. Pure function of (level, op) — never thread-count
+/// dependent.
+bool use_split_path(simd::Level level, const simd::PackedOp& packed) {
   return level != simd::Level::kScalar && packed.dense_enough();
 }
 
@@ -86,21 +80,11 @@ bool use_split_path(simd::Level level, Layout layout,
 void gather_block(ConstComplexView view, long long base,
                   const std::vector<long long>& toff, long long b,
                   double* re, double* im) {
-  if (view.layout() == Layout::kAoS) {
-    const Complex* p = view.aos_data();
-    for (long long t = 0; t < b; ++t) {
-      const Complex v = p[base + toff[static_cast<std::size_t>(t)]];
-      re[t] = v.real();
-      im[t] = v.imag();
-    }
-  } else {
-    const double* pr = view.re();
-    const double* pi = view.im();
-    for (long long t = 0; t < b; ++t) {
-      const long long at = base + toff[static_cast<std::size_t>(t)];
-      re[t] = pr[at];
-      im[t] = pi[at];
-    }
+  const Complex* p = view.data();
+  for (long long t = 0; t < b; ++t) {
+    const Complex v = p[base + toff[static_cast<std::size_t>(t)]];
+    re[t] = v.real();
+    im[t] = v.imag();
   }
 }
 
@@ -108,19 +92,9 @@ void gather_block(ConstComplexView view, long long base,
 void scatter_block(MutComplexView view, long long base,
                    const std::vector<long long>& toff, long long b,
                    const double* re, const double* im) {
-  if (view.layout() == Layout::kAoS) {
-    Complex* p = view.aos_data();
-    for (long long t = 0; t < b; ++t) {
-      p[base + toff[static_cast<std::size_t>(t)]] = Complex{re[t], im[t]};
-    }
-  } else {
-    double* pr = view.re();
-    double* pi = view.im();
-    for (long long t = 0; t < b; ++t) {
-      const long long at = base + toff[static_cast<std::size_t>(t)];
-      pr[at] = re[t];
-      pi[at] = im[t];
-    }
+  Complex* p = view.data();
+  for (long long t = 0; t < b; ++t) {
+    p[base + toff[static_cast<std::size_t>(t)]] = Complex{re[t], im[t]};
   }
 }
 
@@ -172,10 +146,10 @@ void apply_local(const LocalOpPlan& plan, const CMat& op,
   // do not reach pool workers); captured by the closures below.
   const simd::Level level = simd::active();
   const simd::PackedOp packed =
-      level != simd::Level::kScalar || psi.layout() == Layout::kSoA
+      level != simd::Level::kScalar
           ? simd::pack_operator(op, /*transpose=*/false, /*conjugate=*/false)
           : simd::PackedOp{};
-  if (packed.rows > 0 && use_split_path(level, psi.layout(), packed)) {
+  if (use_split_path(level, packed)) {
     // Split path: gather each free block into SoA scratch, run the packed
     // block operator as vectorized column axpys, scatter back. Free blocks
     // touch disjoint amplitude sets, so chunks of blocks run in parallel.
@@ -196,7 +170,7 @@ void apply_local(const LocalOpPlan& plan, const CMat& op,
   }
   // Scalar AoS reference path — kept verbatim from the pre-SIMD engine
   // (byte-identical output under DQMA_SIMD=scalar).
-  Complex* amps = psi.aos_data();
+  Complex* amps = psi.data();
   sweep::parallel_for(
       foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
       [&](std::size_t f_begin, std::size_t f_end) {
@@ -240,14 +214,14 @@ double expectation_vector(const LocalOpPlan& plan, const CMat& effect,
   const auto& foff = plan.free_offsets();
   const simd::Level level = simd::active();
   const simd::PackedOp packed =
-      level != simd::Level::kScalar || psi.layout() == Layout::kSoA
+      level != simd::Level::kScalar
           ? simd::pack_operator(effect, /*transpose=*/false,
                                 /*conjugate=*/false)
           : simd::PackedOp{};
   // Chunked reduction over free blocks: per-chunk partial sums combined in
   // chunk order (sweep/parallel.hpp), so the value is identical at any
   // thread count.
-  if (packed.rows > 0 && use_split_path(level, psi.layout(), packed)) {
+  if (use_split_path(level, packed)) {
     const Complex acc = sweep::parallel_reduce<Complex>(
         foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
         Complex{0.0, 0.0},
@@ -269,7 +243,7 @@ double expectation_vector(const LocalOpPlan& plan, const CMat& effect,
         [](Complex a, Complex c) { return a + c; });
     return acc.real();
   }
-  const Complex* amps = psi.aos_data();
+  const Complex* amps = psi.data();
   const Complex acc = sweep::parallel_reduce<Complex>(
       foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
       Complex{0.0, 0.0},
@@ -306,9 +280,8 @@ double expectation_density(const LocalOpPlan& plan, const CMat& effect,
   // chunked over free blocks, partials combined in chunk order. The access
   // pattern is a strided 2-D gather with O(b^2) touched entries per block —
   // memory-latency bound, so it stays on the zero-skip scalar loop at
-  // every dispatch level (layout handled by the element loads).
-  const bool aos = rho.layout() == Layout::kAoS;
-  const Complex* amps = aos ? rho.aos_data() : nullptr;
+  // every dispatch level.
+  const Complex* amps = rho.data();
   const Complex acc = sweep::parallel_reduce<Complex>(
       foff.size(), sweep::grain_for_ops(static_cast<std::size_t>(b * b)),
       Complex{0.0, 0.0},
@@ -323,7 +296,7 @@ double expectation_density(const LocalOpPlan& plan, const CMat& effect,
               const long long at =
                   (base + toff[static_cast<std::size_t>(j)]) * d +
                   (base + toff[static_cast<std::size_t>(i)]);
-              part += v * (aos ? amps[at] : rho.load(at));
+              part += v * amps[at];
             }
           }
         }
@@ -365,7 +338,7 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
   const auto& toff = plan.target_offsets();
   const auto& foff = plan.free_offsets();
   const simd::Level level = simd::active();
-  if (level != simd::Level::kScalar || a.layout() == Layout::kSoA) {
+  if (level != simd::Level::kScalar) {
     // m(i, j) = op_entry(i, j, adjoint): column-major pack so coefficient
     // (i, j) sits at [j * b + i].
     const simd::PackedOp packed =
@@ -382,15 +355,8 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
             for (long long j = 0; j < b; ++j) {
               const long long row =
                   base + toff[static_cast<std::size_t>(j)];
-              if (a.layout() == Layout::kAoS) {
-                simd::deinterleave(level, a.aos_data() + row * cols, cols,
-                                   src.re() + j * cols, src.im() + j * cols);
-              } else {
-                std::copy(a.re() + row * cols, a.re() + (row + 1) * cols,
-                          src.re() + j * cols);
-                std::copy(a.im() + row * cols, a.im() + (row + 1) * cols,
-                          src.im() + j * cols);
-              }
+              simd::deinterleave(level, a.data() + row * cols, cols,
+                                 src.re() + j * cols, src.im() + j * cols);
             }
             std::fill(dst.re(), dst.re() + b * cols, 0.0);
             std::fill(dst.im(), dst.im() + b * cols, 0.0);
@@ -409,22 +375,15 @@ void apply_left_blocks(const LocalOpPlan& plan, const CMat& op,
             for (long long i = 0; i < b; ++i) {
               const long long row =
                   base + toff[static_cast<std::size_t>(i)];
-              if (a.layout() == Layout::kAoS) {
-                simd::interleave(level, dst.re() + i * cols,
-                                 dst.im() + i * cols, cols,
-                                 a.aos_data() + row * cols);
-              } else {
-                std::copy(dst.re() + i * cols, dst.re() + (i + 1) * cols,
-                          a.re() + row * cols);
-                std::copy(dst.im() + i * cols, dst.im() + (i + 1) * cols,
-                          a.im() + row * cols);
-              }
+              simd::interleave(level, dst.re() + i * cols,
+                               dst.im() + i * cols, cols,
+                               a.data() + row * cols);
             }
           }
         });
     return;
   }
-  Complex* amps = a.aos_data();
+  Complex* amps = a.data();
   sweep::parallel_for(
       foff.size(),
       sweep::grain_for_ops(static_cast<std::size_t>(b * b * cols)),
@@ -472,11 +431,11 @@ void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
   // operator is m(o=j, s=i) = op_entry(s, o, adjoint): the plain transpose
   // without adjoint, the conjugate (untransposed) with it.
   const simd::PackedOp packed =
-      level != simd::Level::kScalar || a.layout() == Layout::kSoA
+      level != simd::Level::kScalar
           ? simd::pack_operator(op, /*transpose=*/!adjoint_op,
                                 /*conjugate=*/adjoint_op)
           : simd::PackedOp{};
-  if (packed.rows > 0 && use_split_path(level, a.layout(), packed)) {
+  if (use_split_path(level, packed)) {
     sweep::parallel_for(
         static_cast<std::size_t>(a.rows()), sweep::grain_for_ops(row_ops),
         [&](std::size_t x_begin, std::size_t x_end) {
@@ -494,7 +453,7 @@ void apply_right_rowwise(const LocalOpPlan& plan, const CMat& op,
         });
     return;
   }
-  Complex* amps = a.aos_data();
+  Complex* amps = a.data();
   sweep::parallel_for(
       static_cast<std::size_t>(a.rows()), sweep::grain_for_ops(row_ops),
       [&](std::size_t x_begin, std::size_t x_end) {
@@ -537,18 +496,9 @@ Complex view_trace(ConstComplexView a) {
 
 /// In-place real rescale of a view.
 void view_scale(MutComplexView a, double s) {
-  if (a.layout() == Layout::kAoS) {
-    Complex* p = a.aos_data();
-    for (long long i = 0; i < a.extent(); ++i) {
-      p[i] *= s;
-    }
-  } else {
-    double* re = a.re();
-    double* im = a.im();
-    for (long long i = 0; i < a.extent(); ++i) {
-      re[i] *= s;
-      im[i] *= s;
-    }
+  Complex* p = a.data();
+  for (long long i = 0; i < a.extent(); ++i) {
+    p[i] *= s;
   }
 }
 

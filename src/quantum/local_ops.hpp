@@ -18,17 +18,17 @@
 //   * project_local    — rho <- (E rho E^dagger) / tr(...), returning the
 //     branch probability.
 //
-// State/density arguments are layout-aware views (linalg/complex_view.hpp):
-// CVec / CMat convert implicitly (AoS), SplitBuffer converts to an SoA
-// view, and no caller ever names a layout. Each kernel resolves the SIMD
-// dispatch level once on the calling thread (linalg/simd.hpp) and picks a
-// path: the scalar AoS loops are kept verbatim as the kScalar reference
-// (byte-identical to the pre-SIMD engine), the vector levels run gather /
-// block-apply / scatter over split-complex buffers, and operators too
-// sparse to pay for dense vector arithmetic (PackedOp::dense_enough) stay
-// on the zero-skip loops. Every path fixes its summation order as a pure
-// function of the shape, so each (level, layout) pair is deterministic
-// across the kernel-thread axis.
+// State/density arguments are views over interleaved (AoS) storage
+// (linalg/complex_view.hpp); CVec / CMat convert implicitly. Each kernel
+// resolves the SIMD dispatch level once on the calling thread
+// (linalg/simd.hpp), and the level alone picks its path: the scalar loops
+// are kept verbatim as the kScalar reference (byte-identical to the
+// pre-SIMD engine), the vector levels gather each block into split-complex
+// scratch, block-apply and scatter back, and operators too sparse to pay
+// for dense vector arithmetic (PackedOp::dense_enough) stay on the
+// zero-skip loops. Every path fixes its summation order as a pure function
+// of the shape, so each level is deterministic across the kernel-thread
+// axis.
 //
 // The dense embedding survives only as the test oracle
 // (dqma::test::embed_operator in tests/support); the randomized property

@@ -1,12 +1,11 @@
 // Tests of the runtime-dispatched SIMD kernel engine (linalg/simd.hpp)
-// and the layout-tagged view layer it sits behind (linalg/complex_view.hpp):
+// and the view layer it sits behind (linalg/complex_view.hpp):
 //  * level parsing / detection / clamping;
-//  * AoS<->SoA conversion round-trips (exact);
+//  * AoS<->SoA deinterleave/interleave round-trips (exact);
 //  * per-level kernel agreement with the scalar reference (tolerance);
 //  * address-invariance of the vector tails (regression: auto-vectorized
 //    scalar tails once made rounding depend on buffer addresses);
 //  * per-level byte-determinism across the kernel-thread axis;
-//  * SoA-view kernels against their AoS counterparts;
 //  * the unified LinearOperator eigensolver front-end.
 // Vector levels are exercised only where the host supports them, so the
 // suite passes (with reduced coverage) on any x86-64 or non-x86 build.
@@ -34,8 +33,6 @@ using dqma::linalg::CMat;
 using dqma::linalg::Complex;
 using dqma::linalg::ConstComplexView;
 using dqma::linalg::CVec;
-using dqma::linalg::Layout;
-using dqma::linalg::MutComplexView;
 using dqma::linalg::SplitBuffer;
 using dqma::quantum::haar_state;
 using dqma::quantum::haar_unitary;
@@ -61,6 +58,22 @@ CVec random_vec(long long n, Rng& rng) {
     v[static_cast<int>(i)] =
         Complex{rng.next_double() - 0.5, rng.next_double() - 0.5};
   }
+  return v;
+}
+
+/// Split-complex copy of a non-empty `v`.
+SplitBuffer split_of(const CVec& v) {
+  SplitBuffer split(v.dim());
+  simd::deinterleave(simd::Level::kScalar, &v[0], v.dim(), split.re(),
+                     split.im());
+  return split;
+}
+
+/// Interleaved copy of a non-empty `split`.
+CVec joined(const SplitBuffer& split) {
+  CVec v(static_cast<int>(split.size()));
+  simd::interleave(simd::Level::kScalar, split.re(), split.im(), split.size(),
+                   &v[0]);
   return v;
 }
 
@@ -113,8 +126,10 @@ TEST(SimdConvertTest, RoundTripsAosSoaExactlyAtEveryLevel) {
       const CVec original = random_vec(n, rng);
       SplitBuffer split(n);
       CVec back(static_cast<int>(n));
-      simd::convert(level, original, split);
-      simd::convert(level, split, back);
+      if (n > 0) {
+        simd::deinterleave(level, &original[0], n, split.re(), split.im());
+        simd::interleave(level, split.re(), split.im(), n, &back[0]);
+      }
       for (long long i = 0; i < n; ++i) {
         EXPECT_EQ(original[static_cast<int>(i)], back[static_cast<int>(i)])
             << "level " << simd::level_name(level) << " n " << n << " i " << i;
@@ -132,14 +147,6 @@ TEST(SimdConvertTest, MatrixShapeRidesThroughViews) {
   EXPECT_EQ(mv.cols(), 5);
   EXPECT_EQ(mv.extent(), 15);
   EXPECT_EQ(mv.load(1 * 5 + 2), (Complex{1.5, -0.5}));
-
-  SplitBuffer split(3, 5);
-  simd::convert(simd::Level::kScalar, m, split);
-  const ConstComplexView sv = split;
-  EXPECT_EQ(sv.layout(), Layout::kSoA);
-  EXPECT_EQ(sv.rows(), 3);
-  EXPECT_EQ(sv.cols(), 5);
-  EXPECT_EQ(sv.load(1 * 5 + 2), (Complex{1.5, -0.5}));
 }
 
 TEST(SimdKernelTest, AxpyMatchesScalarWithinToleranceOnRaggedShapes) {
@@ -149,17 +156,13 @@ TEST(SimdKernelTest, AxpyMatchesScalarWithinToleranceOnRaggedShapes) {
     const CVec x = random_vec(n, rng);
     const CVec y0 = random_vec(n, rng);
     const Complex a{rng.next_double() - 0.5, rng.next_double() - 0.5};
-    SplitBuffer xs(n);
-    simd::convert(simd::Level::kScalar, x, xs);
+    const SplitBuffer xs = split_of(x);
     std::vector<CVec> results;
     for (const simd::Level level : supported_levels()) {
-      SplitBuffer ys(n);
-      CVec y = y0;
-      simd::convert(simd::Level::kScalar, y, ys);
+      SplitBuffer ys = split_of(y0);
       simd::axpy(level, a.real(), a.imag(), xs.re(), xs.im(), ys.re(),
                  ys.im(), n);
-      simd::convert(simd::Level::kScalar, ys, y);
-      results.push_back(std::move(y));
+      results.push_back(joined(ys));
     }
     for (std::size_t l = 1; l < results.size(); ++l) {
       EXPECT_LT(results[0].linf_distance(results[l]), 1e-12)
@@ -173,10 +176,8 @@ TEST(SimdKernelTest, DotMatchesScalarWithinToleranceBothConjModes) {
   for (const long long n : {1LL, 3LL, 7LL, 8LL, 9LL, 31LL, 64LL, 257LL}) {
     const CVec a = random_vec(n, rng);
     const CVec b = random_vec(n, rng);
-    SplitBuffer as(n);
-    SplitBuffer bs(n);
-    simd::convert(simd::Level::kScalar, a, as);
-    simd::convert(simd::Level::kScalar, b, bs);
+    const SplitBuffer as = split_of(a);
+    const SplitBuffer bs = split_of(b);
     for (const bool conj_a : {false, true}) {
       const Complex reference = simd::dot(simd::Level::kScalar, conj_a,
                                           as.re(), as.im(), bs.re(), bs.im(),
@@ -197,8 +198,7 @@ TEST(SimdKernelTest, BlockApplyMatchesDenseReferencePerOrientation) {
   const long long b = 6;  // not a vector multiple: exercises the tails
   const CMat op = haar_unitary(static_cast<int>(b), rng);
   const CVec in = random_vec(b, rng);
-  SplitBuffer ins(b);
-  simd::convert(simd::Level::kScalar, in, ins);
+  const SplitBuffer ins = split_of(in);
   for (const bool transpose : {false, true}) {
     for (const bool conjugate : {false, true}) {
       const simd::PackedOp packed =
@@ -226,9 +226,7 @@ TEST(SimdKernelTest, BlockApplyMatchesDenseReferencePerOrientation) {
         SplitBuffer outs(b);
         simd::block_apply(level, packed, ins.re(), ins.im(), outs.re(),
                           outs.im());
-        CVec out(static_cast<int>(b));
-        simd::convert(simd::Level::kScalar, outs, out);
-        EXPECT_LT(expected.linf_distance(out), 1e-12)
+        EXPECT_LT(expected.linf_distance(joined(outs)), 1e-12)
             << "transpose " << transpose << " conjugate " << conjugate
             << " level " << simd::level_name(level);
       }
@@ -358,28 +356,6 @@ TEST(SimdDispatchTest, EachLevelIsByteDeterministicAcrossKernelThreads) {
       EXPECT_EQ(std::get<2>(serial).linf_distance(std::get<2>(threaded)), 0.0)
           << "gemm, " << simd::level_name(level) << " x " << threads;
     }
-  }
-}
-
-TEST(SimdDispatchTest, SoaViewsAgreeWithAosViews) {
-  // The same apply through an SoA-backed view lands within rounding of the
-  // AoS path at every level (layouts are cross-validated, not byte-pinned).
-  Rng rng(29);
-  const RegisterShape shape({4, 4, 4, 4});  // D = 256
-  const CMat u = haar_unitary(16, rng);
-  const CVec psi0 = haar_state(256, rng);
-  const LocalOpPlan plan(shape, {0, 2});
-  for (const simd::Level level : supported_levels()) {
-    const simd::LevelScope scope(level);
-    CVec aos = psi0;
-    dqma::quantum::apply_local(plan, u, aos);
-
-    SplitBuffer soa(256);
-    simd::convert(level, psi0, soa);
-    dqma::quantum::apply_local(plan, u, MutComplexView(soa));
-    CVec back(256);
-    simd::convert(level, soa, back);
-    EXPECT_LT(aos.linf_distance(back), 1e-10) << simd::level_name(level);
   }
 }
 
